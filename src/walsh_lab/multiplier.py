@@ -1,9 +1,12 @@
 """Application of multiplier symbols to step functions.
 
 On the span of the first ``2**m`` Walsh functions a multiplier acts exactly:
-transform, scale coefficient ``n`` by ``a_n``, transform back.  The dense
-matrix realization exists on demand for small resolutions; everything else
-goes through the fast transform.
+transform, scale coefficient ``n`` by ``a_n``, transform back.  In cell
+space the same operator is a dyadic convolution: its matrix is
+``M[i, j] = k[i ^ j]`` with the kernel ``k = fwht(diag) / 2**m``
+(Schipp-Wade-Simon, *Walsh Series*, ch. 1).  ``kernel_matrix`` builds that
+matrix for small resolutions; everything else goes through the fast
+transform.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .dyadic import (
     Resolution,
     StepFunction,
     fwht,
-    walsh_matrix,
 )
 from .metrics import pnorm
 from .symbols import Symbol, resolvent_symbol
@@ -31,6 +33,19 @@ def apply_diag(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
     return fwht(fwht(values) * diag) / dim
 
 
+def kernel_matrix(diag: np.ndarray) -> np.ndarray:
+    """Cell-space matrix ``M[i, j] = k[i ^ j]`` of the multiplier, ``k = fwht(diag) / N``.
+
+    ``M @ v`` equals ``apply_diag(diag, v)`` up to rounding.  The Paley
+    Walsh matrix is symmetric, so ``M`` is symmetric and the adjoint
+    multiplier (diagonal ``conj(diag)``) has matrix ``conj(M)``.
+    """
+    dim = diag.shape[-1]
+    k = fwht(diag) / dim
+    idx = np.arange(dim)
+    return k[idx[:, None] ^ idx]
+
+
 def apply(sym: Symbol, f: StepFunction) -> StepFunction:
     """Apply the multiplier: coefficient n is scaled by ``sym.value(n)``."""
     res = f.resolution
@@ -42,7 +57,7 @@ class MultiplierMatrix:
     """A symbol restricted to the ``2**m``-dimensional step-function space.
 
     ``matvec`` uses the fast transform; ``dense()`` materializes the cell-space
-    matrix (only for m <= 12) and caches it.
+    matrix ``k[i ^ j]`` (only for m <= 12) and caches it.
     """
 
     def __init__(self, sym: Symbol, res: Resolution):
@@ -64,9 +79,7 @@ class MultiplierMatrix:
                 raise ValueError(
                     f"dense multiplier matrices are limited to m <= {MAX_DENSE_LEVELS}, got {m}"
                 )
-            h = walsh_matrix(m).astype(np.float64)
-            # H @ diag(a) @ H / 2**m on cell-value vectors
-            self._dense = h @ (self.diag[:, None] * h) / self.resolution.dim
+            self._dense = kernel_matrix(self.diag)
         return self._dense
 
 

@@ -16,6 +16,7 @@ symbol values tend to zero.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -161,6 +162,16 @@ def resolvent_norm_l2(sym: Symbol, lam: complex) -> float:
     return INF if d == 0.0 else 1.0 / d
 
 
+# lru_cache does not hold back a second caller while the first computes, so
+# sweep threads would each run the probe; the lock makes it once per key.
+_CONSTANT_LOCK = threading.Lock()
+
+
+def _multiplier_constant(p: float, m: int, trials: int, seed: int) -> float:
+    with _CONSTANT_LOCK:
+        return _cached_multiplier_constant(p, m, trials, seed)
+
+
 @lru_cache(maxsize=64)
 def _cached_multiplier_constant(p: float, m: int, trials: int, seed: int) -> float:
     """Largest measured p -> p norm / sup ratio over seeded random symbols."""
@@ -205,7 +216,7 @@ def membership(
         if query.p != 2.0:
             const = bound_constant
             if const is None:
-                const = _cached_multiplier_constant(float(query.p), min(query.m, 6), 4, 0)
+                const = _multiplier_constant(float(query.p), min(query.m, 6), 4, 0)
             lp_upper = const / delta
         # Residual scales like 1/delta; anything far beyond that means the
         # certificate did not actually invert the operator.

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import walsh_lab.spectral as spectral
 from walsh_lab.cli import main
 
 
@@ -63,6 +65,44 @@ def test_sweep_rerun_is_byte_identical(capsys, tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_opnorm_sweep_threads_byte_identical(capsys):
+    args = [
+        "sweep", "opnorm", "--symbol", "reciprocal", "--m", "5",
+        "--p-in", "1.5,3", "--p-out", "1.5,3", "--seed", "4",
+    ]
+    _, one, _ = run_cli(capsys, *args, "--threads", "1")
+    _, two, _ = run_cli(capsys, *args, "--threads", "2")
+    assert one == two
+    assert len(one.splitlines()) == 6
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_spectrum_grid_threads_compute_bound_constant_once(capsys, monkeypatch, threads):
+    calls = []
+    real = spectral.multiplier_bound_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "multiplier_bound_check", counted)
+    spectral._cached_multiplier_constant.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "spectrum-grid", "--symbol", "alternating", "--m", "6",
+            "--p-in", "3", "--grid=-2,2,-2,2,3", "--threads", threads,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+        spectral._cached_multiplier_constant.cache_clear()
+    assert code == 0
+    assert len(out.splitlines()) == 2 + 9
+    assert len(calls) == 4  # one symbol per trial, once per process
 
 
 def test_opnorm_sweep_schema(capsys):

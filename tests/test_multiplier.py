@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     AlternatingSymbol,
@@ -17,6 +19,8 @@ from walsh_lab import (
     truncate,
     walsh_step,
 )
+from walsh_lab.dyadic import walsh_matrix
+from walsh_lab.multiplier import kernel_matrix
 
 
 def rand_step(rng, m):
@@ -91,6 +95,19 @@ def test_dense_matrix_matches_matvec():
     lhs = np.vdot(v, mat.matvec(v))
     rhs = np.vdot(mat.adjoint_matvec(v), v)
     assert abs(lhs - rhs) < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matrix_matches_walsh_matrix_reference(m, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    h = walsh_matrix(m).astype(np.float64)
+    reference = h @ (diag[:, None] * h) / dim
+    mat = kernel_matrix(diag)
+    assert np.abs(mat - reference).max() <= 1e-13 * np.abs(diag).max()
+    assert np.array_equal(mat, mat.T)
 
 
 def test_dense_matrix_refuses_large_resolutions():

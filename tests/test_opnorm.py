@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     AlternatingSymbol,
@@ -18,7 +21,8 @@ from walsh_lab import (
     random_explicit_symbol,
     tail_norm,
 )
-from walsh_lab.opnorm import _power_lower
+from walsh_lab.multiplier import apply_diag
+from walsh_lab.opnorm import _power_lower, _row_operators
 
 INF = math.inf
 
@@ -69,6 +73,50 @@ def test_lower_bounds_sandwiched_by_interpolated_upper():
             hi = opnorm_upper_interpolated(sym, res, p)
             assert lo.kind == "lower" and hi.kind == "upper"
             assert sup - 1e-10 <= lo.value <= hi.value + 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_kernel_product_matches_transform_pair(m, rows, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    forward, adjoint = _row_operators(diag)
+    for got, ref in ((forward(x), apply_diag(diag, x)), (adjoint(x), apply_diag(np.conj(diag), x))):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+exponent_at_least_2 = st.one_of(st.floats(2.0, 50.0), st.just(INF))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(0, 6),
+    p_in=exponent_at_least_2,
+    p_out=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    sym = ExplicitSymbol(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), "zero")
+    sup = float(np.abs(sym.values(dim)).max())
+    est = opnorm(sym, Resolution(m), p_in, p_out, seed=seed % 1000)
+    assert (est.kind, est.value) == ("exact", sup)
+    if (p_in, p_out) != (2.0, 2.0):  # (2, 2) reports its cross-check's iterations
+        assert est.iterations == 0
+    run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
+    assert run.value <= sup * (1.0 + 1e-12)
+
+
+def test_exact_kernel_permutation_stays_finite():
+    # The alternating symbol's kernel matrix is a permutation, so the kernel
+    # product keeps shrinking coordinates exactly until they turn subnormal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = opnorm(AlternatingSymbol(), Resolution(8), 1.5, 3.0, seed=1)
+    assert est.value == pytest.approx(256 ** (1 / 3), rel=1e-12)
 
 
 def test_power_iteration_ratios_never_decrease():
