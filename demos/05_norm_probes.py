@@ -1,10 +1,11 @@
 """Operator norms and measured constants.
 
-Exact norms where the structure allows (p = 2 and the endpoint exponents),
-ascent lower bounds elsewhere, interpolated upper bounds, adjoint symmetry,
-and empirical probes of the analysis/synthesis constants.  The analysis
-ratio never exceeds 1; the synthesis ratio grows with resolution, and the
-probe reports that growth without asserting any ceiling.
+Exact norms where the structure allows (p = 2 and the endpoint exponents,
+where the norm is ||k||_1 of the dyadic convolution kernel k), ascent lower
+bounds elsewhere, the kernel upper bound ||k||_1 for every p -> p norm,
+adjoint symmetry, and empirical probes of the analysis/synthesis constants.
+The analysis ratio never exceeds 1; the synthesis ratio grows with
+resolution, and the probe reports that growth without asserting any ceiling.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ for p in (1.0, 2.0, np.inf):
     est = opnorm(ReciprocalSymbol(), res, p, p)
     print(f"  p={p}: {est.value:.9f}  [{est.kind}]")
 
-print("\nAscent lower bounds vs interpolated upper bounds (random symbol):")
+print("\nAscent lower bounds vs the kernel upper bound ||k||_1 (random symbol):")
 sym = random_explicit_symbol(rng, 64)
 sup = np.abs(sym.values(64)).max()
 for p in (1.5, 3.0):

@@ -153,14 +153,10 @@ def cmd_verify(args) -> int:
 
 def _sweep_tail_decay(args) -> tuple[list[dict], list[str]]:
     sym = _load_symbol(args.symbol)
-    if args.m > MAX_TRANSFORM_LEVELS:
-        raise ConfigError(f"m <= {MAX_TRANSFORM_LEVELS} for transform-backed sweeps")
     res = Resolution(args.m)
     cutoffs = _parse_cutoffs(args.cutoffs)
     p_in = _parse_exponent(args.p_in)
     p_out = _parse_exponent(args.p_out)
-    if p_in in (1.0, math.inf) and p_in == p_out and args.m > MAX_DENSE_LEVELS:
-        raise ConfigError(f"m <= {MAX_DENSE_LEVELS} for dense-matrix exponents")
     report = compactness_report(sym, p_in, p_out, res, cutoffs, seed=args.seed, tol=args.tol)
     rows = [
         {
@@ -183,9 +179,6 @@ def _sweep_opnorm(args) -> tuple[list[dict], list[str]]:
     res = Resolution(args.m)
     pairs = [(pi, po) for pi in _parse_exponent_list(args.p_in) for po in _parse_exponent_list(args.p_out)]
     diag_sup = float(np.abs(sym.values(res.dim)).max())
-    dense_needed = any(pi == po and pi in (1.0, math.inf) for pi, po in pairs)
-    if args.m > (MAX_DENSE_LEVELS if dense_needed else MAX_TRANSFORM_LEVELS):
-        raise ConfigError("resolution too large for the requested exponents")
 
     def row_for(pair):
         pi, po = pair
@@ -208,8 +201,6 @@ def _sweep_opnorm(args) -> tuple[list[dict], list[str]]:
 
 def _sweep_spectrum_grid(args) -> tuple[list[dict], list[str]]:
     sym = _load_symbol(args.symbol)
-    if args.m > MAX_TRANSFORM_LEVELS:
-        raise ConfigError(f"m <= {MAX_TRANSFORM_LEVELS} for transform-backed sweeps")
     if args.grid is None:
         raise ConfigError("spectrum-grid needs --grid re_min,re_max,im_min,im_max,steps")
     re_min, re_max, im_min, im_max, steps = _parse_grid(args.grid)
@@ -259,6 +250,8 @@ def cmd_sweep(args) -> int:
         "probe-constants": _sweep_probe_constants,
     }
     try:
+        if args.m > MAX_TRANSFORM_LEVELS:
+            raise ConfigError(f"m <= {MAX_TRANSFORM_LEVELS} for sweeps")
         rows, header = kinds[args.kind](args)
         _emit(rows, header, args.format, args.out, args.seed)
     except (ConfigError, ValueError) as exc:

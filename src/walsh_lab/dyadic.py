@@ -46,6 +46,7 @@ __all__ = [
 MAX_DENSE_LEVELS = 12
 # Past this the value arrays alone stop being sensible on one machine.
 MAX_LEVELS = 26
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,23 @@ def fwht(values, /) -> np.ndarray:
 
     Operates on the last axis, which must have power-of-two length N, and
     returns ``H @ x`` in O(N log N) butterfly operations.  Applying it twice
-    multiplies by N.  Integer inputs stay in int64 (exact for +-1 data);
-    float and complex inputs are computed in double precision.
+    multiplies by N.  Integer inputs stay in int64 and are exact: partial sums
+    are bounded by ``max|x| * N``, and ``max|x| * N > 2**63 - 1`` raises
+    ``OverflowError``.  Float and complex inputs are computed in float64.
     """
     a = np.array(values, subok=False)
+    if a.ndim == 0:
+        raise ValueError("expected at least one axis")
     kind = a.dtype.kind
     if kind in "bui":
+        if a.size:
+            # Python ints: neither abs(int64 min) nor a uint64 above 2**63 - 1
+            # can be formed in int64.
+            top = max(int(a.max()), -int(a.min())) * a.shape[-1]
+            if top > _INT64_MAX:
+                raise OverflowError(
+                    f"integer fwht needs max|x| * N <= 2**63 - 1, got max|x| * N = {top}"
+                )
         a = a.astype(np.int64)
     elif kind == "f":
         a = a.astype(np.float64, copy=False)
@@ -197,8 +209,6 @@ def fwht(values, /) -> np.ndarray:
         a = a.astype(np.complex128, copy=False)
     else:
         raise TypeError(f"cannot transform values of dtype {a.dtype}")
-    if a.ndim == 0:
-        raise ValueError("expected at least one axis")
     n = a.shape[-1]
     m = _levels_for_length(n)
 

@@ -4,9 +4,9 @@ On the span of the first ``2**m`` Walsh functions a multiplier acts exactly:
 transform, scale coefficient ``n`` by ``a_n``, transform back.  In cell
 space the same operator is a dyadic convolution: its matrix is
 ``M[i, j] = k[i ^ j]`` with the kernel ``k = fwht(diag) / 2**m``
-(Schipp-Wade-Simon, *Walsh Series*, ch. 1).  ``kernel_matrix`` builds that
-matrix for small resolutions; everything else goes through the fast
-transform.
+(Schipp-Wade-Simon, *Walsh Series*, ch. 1).  ``kernel`` computes ``k`` in
+O(N log N); ``kernel_matrix`` builds the matrix for small resolutions;
+everything else goes through the fast transform.
 """
 
 from __future__ import annotations
@@ -33,16 +33,21 @@ def apply_diag(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
     return fwht(fwht(values) * diag) / dim
 
 
+def kernel(diag: np.ndarray) -> np.ndarray:
+    """Dyadic convolution kernel ``k = fwht(diag) / N``: every row and every
+    column of the cell-space matrix is a permutation of it."""
+    return fwht(diag) / diag.shape[-1]
+
+
 def kernel_matrix(diag: np.ndarray) -> np.ndarray:
-    """Cell-space matrix ``M[i, j] = k[i ^ j]`` of the multiplier, ``k = fwht(diag) / N``.
+    """Cell-space matrix ``M[i, j] = k[i ^ j]`` of the multiplier, ``k = kernel(diag)``.
 
     ``M @ v`` equals ``apply_diag(diag, v)`` up to rounding.  The Paley
     Walsh matrix is symmetric, so ``M`` is symmetric and the adjoint
     multiplier (diagonal ``conj(diag)``) has matrix ``conj(M)``.
     """
-    dim = diag.shape[-1]
-    k = fwht(diag) / dim
-    idx = np.arange(dim)
+    k = kernel(diag)
+    idx = np.arange(diag.shape[-1])
     return k[idx[:, None] ^ idx]
 
 

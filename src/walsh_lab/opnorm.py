@@ -6,15 +6,16 @@ Exact paths:
   ``||W_n||_r = 1`` gives it from below; from above,
   ``||Tf||_q <= ||Tf||_2 <= sup|a| ||f||_2 <= sup|a| ||f||_p`` because [0, 1)
   is a probability space.  At (2, 2) the value is cross-checked by iteration.
-* p in {1, inf} with equal domain and range exponents: column / row sums of
-  the dense matrix (the uniform cell weight cancels).
+* p in {1, inf} with equal domain and range exponents: ``||k||_1`` of the
+  kernel ``k = fwht(a) / 2**m``; every column and row of the cell-space
+  matrix ``k[i ^ j]`` is a permutation of ``k``.
 
 Every other regime gets a certified *lower* bound from a dual power
 iteration whose Rayleigh-type ratio never decreases, reported together with
 convergence metadata.  For dim <= ``GEMM_MAX_DIM`` each power step is one
 matrix product against the cell-space kernel matrix ``k[i ^ j]``; above it,
-the fast-transform pair.  Upper bounds come separately from interpolation
-between the exact p = 1 and p = inf norms.
+the fast-transform pair.  ``||k||_1`` is also an upper bound for every
+p -> p norm (Riesz-Thorin between the equal endpoint norms).
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .dyadic import Resolution, fwht, walsh_step
 from .metrics import dual_exponent, pnorm
-from .multiplier import MultiplierMatrix, apply_diag, kernel_matrix
+from .multiplier import apply_diag, kernel, kernel_matrix
 from .symbols import ExplicitSymbol, Symbol, tail
 
 INF = math.inf
@@ -45,6 +46,7 @@ DEFAULT_MAX_ITER = 500
 _WALSH_STARTS = 3
 _MONOTONE_SLACK = 1e-9
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 # Power steps multiply by the dense kernel matrix up to this dimension and
 # use the transform pair above it.  Per (84, dim) complex batch on a 2-vCPU
 # x86-64 VM with OpenBLAS 0.3.31, the product beats the pair about 10x at 64
@@ -308,8 +310,8 @@ def opnorm(
       iterative estimator unless ``cross_check=False``.
     * ``p_in >= 2 >= p_out`` otherwise: exact, ``max |a_n|`` in closed form,
       no iteration (see the module docstring for the two-line proof).
-    * ``p_in = p_out in {1, inf}``: exact via dense column / row sums
-      (resolution capped at m = 12 by the dense realization).
+    * ``p_in = p_out in {1, inf}``: exact, ``||k||_1`` of the kernel
+      ``k = fwht(a) / 2**m`` (the column / row sum of ``k[i ^ j]``).
     * anything else: iterative lower bound (see ``_power_lower``).
     """
     for p in (p_in, p_out):
@@ -341,10 +343,7 @@ def opnorm(
         return NormEstimate(float(np.abs(diag).max()), EXACT)
 
     if p_in == p_out and p_in in (1.0, INF):
-        dense = MultiplierMatrix(sym, res).dense()
-        axis = 0 if p_in == 1.0 else 1
-        value = float(np.abs(dense).sum(axis=axis).max())
-        return NormEstimate(value, EXACT)
+        return NormEstimate(pnorm(kernel(diag), 1.0), EXACT)
 
     run = _power_lower(
         diag, m, p_in, p_out,
@@ -355,16 +354,19 @@ def opnorm(
 
 
 def opnorm_upper_interpolated(sym: Symbol, res: Resolution, p: float) -> NormEstimate:
-    """Upper bound for the p -> p norm by interpolating the exact endpoint
-    norms: ||T||_1^(1/p) * ||T||_inf^(1 - 1/p)."""
+    """Upper bound ``||k||_1`` for the p -> p norm, the same for every p.
+
+    ``k[i ^ j]`` is symmetric, so its endpoint norms are equal and
+    Riesz-Thorin interpolation between them gives ``||k||_1``.  The value is
+    raised by its rounding bound (``m sum|a_n| u`` in the butterfly,
+    ``N ||k||_1 u`` in the sum, ``sum|a_n| <= N ||k||_1``); otherwise a
+    one-signed kernel, where ``||k||_1 = sup|a_n|``, can land an ulp low.
+    """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
-    n1 = opnorm(sym, res, 1.0, 1.0).value
-    ninf = opnorm(sym, res, INF, INF).value
-    theta = 0.0 if p == INF else 1.0 / p
-    value = n1**theta * ninf ** (1.0 - theta)
-    return NormEstimate(value, UPPER)
+    value = opnorm(sym, res, 1.0, 1.0).value
+    return NormEstimate(value * (1.0 + (res.m + 4) * res.dim * _EPS), UPPER)
 
 
 def tail_norm(

@@ -16,16 +16,14 @@ symbol values tend to zero.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import Resolution, StepFunction, walsh_step
+from .dyadic import MAX_DENSE_LEVELS, Resolution, StepFunction, walsh_step
 from .metrics import pnorm
 from .multiplier import apply_diag, compose_check
-from .opnorm import NormEstimate, multiplier_bound_check, tail_norm
+from .opnorm import NormEstimate, opnorm_upper_interpolated, tail_norm
 from .symbols import Symbol, resolvent_symbol
 
 INF = math.inf
@@ -57,8 +55,10 @@ class MembershipCertificate:
     """Verdict for one shift plus the evidence backing it.
 
     In the resolvent case: the certified gap, the inverse symbol, the
-    composition residual on a seeded test function and (for p != 2) a
-    measured-constant upper bound on the inverse norm.  In the spectrum
+    composition residual on a seeded test function and (for p != 2) the
+    kernel bound ``||k_b||_1`` at resolution m (``k_b = fwht(b) / 2**m``,
+    rounded up by its error bound), an upper bound on the p -> p norm of the
+    inverse there; see ``opnorm_upper_interpolated``.  In the spectrum
     case: indices whose coefficient values approach the shift, each one a
     norm-one Walsh quasi-eigenvector with residual exactly |a_n - lam|.
     """
@@ -134,8 +134,12 @@ def point_spectrum(sym: Symbol, res: Resolution, include_vectors: bool = False):
 
     The eigen-identity is verified exactly: applying the multiplier to a
     Walsh function involves only sums of a single nonzero coefficient, so
-    the cell values come out bit-for-bit equal to ``a_n * W_n``.
+    the cell values come out bit-for-bit equal to ``a_n * W_n``.  Checking
+    all 2**m eigenpairs costs O(N^2 log N), so m > MAX_DENSE_LEVELS is
+    refused.
     """
+    if res.m > MAX_DENSE_LEVELS:
+        raise ValueError(f"point spectrum limited to m <= {MAX_DENSE_LEVELS}, got {res.m}")
     dim = res.dim
     diag = sym.values(dim)
     pairs = []
@@ -162,36 +166,10 @@ def resolvent_norm_l2(sym: Symbol, lam: complex) -> float:
     return INF if d == 0.0 else 1.0 / d
 
 
-# lru_cache does not hold back a second caller while the first computes, so
-# sweep threads would each run the probe; the lock makes it once per key.
-_CONSTANT_LOCK = threading.Lock()
-
-
-def _multiplier_constant(p: float, m: int, trials: int, seed: int) -> float:
-    with _CONSTANT_LOCK:
-        return _cached_multiplier_constant(p, m, trials, seed)
-
-
-@lru_cache(maxsize=64)
-def _cached_multiplier_constant(p: float, m: int, trials: int, seed: int) -> float:
-    """Largest measured p -> p norm / sup ratio over seeded random symbols."""
-    from .opnorm import random_explicit_symbol
-
-    rng = np.random.default_rng(seed)
-    res = Resolution(m)
-    best = 1.0
-    for _ in range(trials):
-        sym = random_explicit_symbol(rng, res.dim)
-        report = multiplier_bound_check(sym, res, p, seed=seed, exchange_rounds=0)
-        best = max(best, report.ratio)
-    return best
-
-
 def membership(
     sym: Symbol,
     query: SpectralQuery,
     *,
-    bound_constant: float | None = None,
     test_seed: int = 7,
 ) -> MembershipCertificate:
     """Classify the shift and produce the corresponding certificate.
@@ -214,10 +192,7 @@ def membership(
         residual = compose_check(sym, lam, f, query.tolerance)
         lp_upper = None
         if query.p != 2.0:
-            const = bound_constant
-            if const is None:
-                const = _multiplier_constant(float(query.p), min(query.m, 6), 4, 0)
-            lp_upper = const / delta
+            lp_upper = opnorm_upper_interpolated(b, res, query.p).value
         # Residual scales like 1/delta; anything far beyond that means the
         # certificate did not actually invert the operator.
         verdict = IN_RESOLVENT

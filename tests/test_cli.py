@@ -1,11 +1,14 @@
+import importlib
 import json
 import sys
 
 import numpy as np
 import pytest
 
-import walsh_lab.spectral as spectral
+from walsh_lab import ReciprocalSymbol, fwht, tail
 from walsh_lab.cli import main
+
+opnorm_module = importlib.import_module("walsh_lab.opnorm")
 
 
 def run_cli(capsys, *argv):
@@ -78,31 +81,44 @@ def test_opnorm_sweep_threads_byte_identical(capsys):
     assert len(one.splitlines()) == 6
 
 
-@pytest.mark.parametrize("threads", ["2", "4"])
-def test_spectrum_grid_threads_compute_bound_constant_once(capsys, monkeypatch, threads):
+def test_spectrum_grid_p3_makes_no_bound_checks(capsys, monkeypatch):
     calls = []
-    real = spectral.multiplier_bound_check
+    real = opnorm_module.multiplier_bound_check
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "multiplier_bound_check", counted)
-    spectral._cached_multiplier_constant.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "spectrum-grid", "--symbol", "alternating", "--m", "6",
-            "--p-in", "3", "--grid=-2,2,-2,2,3", "--threads", threads,
-        )
-    finally:
-        sys.setswitchinterval(interval)
-        spectral._cached_multiplier_constant.cache_clear()
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "walsh_lab" and getattr(mod, "multiplier_bound_check", None) is real:
+            monkeypatch.setattr(mod, "multiplier_bound_check", counted)
+    args = [
+        "sweep", "spectrum-grid", "--symbol", "alternating", "--m", "6",
+        "--p-in", "3", "--grid=-2,2,-2,2,3",
+    ]
+    code_one, one, _ = run_cli(capsys, *args, "--threads", "1")
+    code_two, two, _ = run_cli(capsys, *args, "--threads", "2")
+    assert code_one == code_two == 0
+    assert len(one.splitlines()) == 2 + 9
+    assert one == two
+    assert calls == []
+
+
+def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "tail-decay", "--symbol", "reciprocal", "--m", "14",
+        "--p-in", "1", "--p-out", "1",
+    )
     assert code == 0
-    assert len(out.splitlines()) == 2 + 9
-    assert len(calls) == 4  # one symbol per trial, once per process
+    rows = out.splitlines()[2:]
+    assert [int(row.split(",")[4]) for row in rows] == [1, 3, 7, 15, 31]
+    dim = 1 << 14
+    for row in rows:
+        cutoff, estimate = int(row.split(",")[4]), float(row.split(",")[5])
+        diag = tail(ReciprocalSymbol(), cutoff).values(dim)
+        k_l1 = np.abs(fwht(diag)).sum() / dim
+        assert estimate == pytest.approx(k_l1, rel=1e-13)
 
 
 def test_opnorm_sweep_schema(capsys):

@@ -108,6 +108,22 @@ def test_fwht_rejects_bad_lengths():
         fwht(np.ones(12))
 
 
+def test_fwht_integer_overflow_boundary():
+    # Every partial sum is bounded by max|x| * N; 16 * top is the largest
+    # such bound that fits in int64.
+    top = (2**63 - 1) // 16
+    for sign in (1, -1):
+        x = np.full(16, sign * top, dtype=np.int64)
+        out = fwht(x)
+        assert out[0] == sign * 16 * top and not out[1:].any()
+        with pytest.raises(OverflowError, match=r"2\*\*63 - 1"):
+            fwht(x + sign)
+    with pytest.raises(OverflowError):
+        fwht(np.full(16, 2**60, dtype=np.int64))
+    with pytest.raises(OverflowError):
+        fwht(np.array([2**63, 0], dtype=np.uint64))
+
+
 def test_fwht_batches_along_last_axis():
     rng = np.random.default_rng(2)
     block = rng.standard_normal((5, 64))

@@ -52,9 +52,25 @@ def test_mean_projection_has_unit_1norm():
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_endpoint_norms_need_dense_realization():
-    with pytest.raises(ValueError, match="m <= 12"):
-        opnorm(ReciprocalSymbol(), Resolution(13), 1.0, 1.0)
+def test_endpoint_norms_exact_beyond_dense_resolutions():
+    for p in (1.0, INF):
+        est = opnorm(AlternatingSymbol(), Resolution(16), p, p)
+        assert (est.kind, est.value) == ("exact", 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_endpoint_norms_match_dense_column_and_row_sums(m, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    sym = ExplicitSymbol(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), "zero")
+    res = Resolution(m)
+    dense = np.abs(MultiplierMatrix(sym, res).dense())
+    for p, axis in ((1.0, 0), (INF, 1)):
+        est = opnorm(sym, res, p, p)
+        want = dense.sum(axis=axis).max()
+        assert est.kind == "exact"
+        assert abs(est.value - want) <= 1e-13 * want
 
 
 def test_invalid_exponents_rejected():

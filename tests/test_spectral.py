@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     AlternatingSymbol,
@@ -15,8 +17,11 @@ from walsh_lab import (
     UnitDiracSymbol,
     compactness_report,
     membership,
+    opnorm,
     point_spectrum,
+    random_explicit_symbol,
     resolvent_norm_l2,
+    resolvent_symbol,
     riesz_schauder_check,
     separation_distance,
     spectral_report,
@@ -38,6 +43,11 @@ def test_point_spectrum_constant():
 def test_point_spectrum_reciprocal():
     pairs = point_spectrum(ReciprocalSymbol(), Resolution(3))
     assert [v for _, v in pairs] == [1 / (n + 1) for n in range(8)]
+
+
+def test_point_spectrum_refuses_large_resolutions():
+    with pytest.raises(ValueError, match="m <= 12"):
+        point_spectrum(ReciprocalSymbol(), Resolution(13))
 
 
 def test_point_spectrum_vectors_are_eigenvectors():
@@ -89,6 +99,47 @@ def test_membership_alternating_resolvent_point():
     assert cert.delta == pytest.approx(1.0)
     assert cert.compose_residual < 1e-10
     assert cert.lp_upper is not None and cert.lp_upper >= 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["explicit", "reciprocal", "geometric", "alternating"]),
+    shift=st.sampled_from([2.0, -1.5, 0.25 + 0.5j, 0.0]),
+    m=st.integers(0, 7),
+    p=st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_membership_lp_upper_is_an_upper_bound(family, shift, m, p, seed):
+    # Real monotone symbols at real shifts have one-signed inverse kernels,
+    # where ||k_b||_1 equals sup|b_n| and rounding decides the comparison.
+    rng = np.random.default_rng(seed)
+    sym = {
+        "explicit": lambda: random_explicit_symbol(rng, 1 << m),
+        "reciprocal": ReciprocalSymbol,
+        "geometric": lambda: GeometricSymbol(0.9),
+        "alternating": AlternatingSymbol,
+    }[family]()
+    cert = membership(sym, SpectralQuery(shift, p=p, m=m))
+    if cert.verdict != IN_RESOLVENT:
+        return
+    b, _ = resolvent_symbol(sym, shift)
+    res = Resolution(m)
+    assert cert.lp_upper >= np.abs(b.values(res.dim)).max()
+    assert cert.lp_upper >= opnorm(b, res, p, p, seed=seed % 1000).value
+
+
+def test_membership_lp_upper_bounds_resolvent_norm():
+    # Here the p = 3 norm of the inverse (at least 9.307) is far above
+    # 1/delta = sup|b_n|, so a bound c / delta with a constant c measured on
+    # other symbols (9.169) falls below it.
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        sym = random_explicit_symbol(rng, 256)
+        lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    cert = membership(sym, SpectralQuery(lam, p=3.0, m=8))
+    b, _ = resolvent_symbol(sym, lam)
+    assert cert.verdict == IN_RESOLVENT
+    assert cert.lp_upper >= opnorm(b, Resolution(8), 3.0, 3.0).value
 
 
 def test_membership_exact_eigenvalue():
