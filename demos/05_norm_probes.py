@@ -1,8 +1,9 @@
 """Operator norms and measured constants.
 
-Exact norms where the structure allows (p = 2 and the endpoint exponents,
-where the norm is ||k||_1 of the dyadic convolution kernel k), ascent lower
-bounds elsewhere, the kernel upper bound ||k||_1 for every p -> p norm,
+Exact norms where the structure allows (p_in >= 2 >= p_out, where the norm
+is sup|a_n|, and an L^1 domain or L^inf range, where it is an L^r norm of the
+dyadic convolution kernel K = fwht(a)), ascent lower bounds elsewhere, the
+kernel upper bound ||k||_1 (k = K / 2**m) for every p -> p norm,
 adjoint symmetry, and empirical probes of the analysis/synthesis constants.
 The analysis ratio never exceeds 1; the synthesis ratio grows with
 resolution, and the probe reports that growth without asserting any ceiling.
@@ -25,9 +26,9 @@ res = Resolution(6)
 rng = np.random.default_rng(0)
 
 print("Exact paths for the 1/(n+1) multiplier at m=6:")
-for p in (1.0, 2.0, np.inf):
-    est = opnorm(ReciprocalSymbol(), res, p, p)
-    print(f"  p={p}: {est.value:.9f}  [{est.kind}]")
+for p, q in ((1.0, 1.0), (2.0, 2.0), (np.inf, np.inf), (1.0, 3.0), (1.5, np.inf)):
+    est = opnorm(ReciprocalSymbol(), res, p, q)
+    print(f"  {p} -> {q}: {est.value:.9f}  [{est.kind}]")
 
 print("\nAscent lower bounds vs the kernel upper bound ||k||_1 (random symbol):")
 sym = random_explicit_symbol(rng, 64)

@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import MAX_DENSE_LEVELS, Resolution, fwht, naive_walsh_transform
+from .dyadic import MAX_DENSE_LEVELS, Resolution, naive_walsh_transform
 from .opnorm import constant_probe, opnorm
 from .spectral import SpectralQuery, compactness_report, membership
 from .symbols import Symbol, symbol_from_json
-from .verify import run_suite
+from .verify import fwht_timings, run_suite
 
 MAX_TRANSFORM_LEVELS = 20
 MAX_BENCH_LOG2 = 24
@@ -267,21 +267,15 @@ def cmd_bench(args) -> int:
     if not 1 <= args.n_min_log2 <= args.n_max_log2 <= MAX_BENCH_LOG2:
         print(f"config error: need 1 <= n_min <= n_max <= {MAX_BENCH_LOG2}", file=sys.stderr)
         return 2
+    sizes = range(args.n_min_log2, args.n_max_log2 + 1)
     rng = np.random.default_rng(0)
     print(f"{'log2(N)':>8} {'fwht_ms':>12} {'ratio':>8} {'naive_ms':>12}")
     prev = None
-    for lg in range(args.n_min_log2, args.n_max_log2 + 1):
-        v = rng.standard_normal(1 << lg)
-        fwht(v)
-        samples = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            fwht(v)
-            samples.append(time.perf_counter() - t0)
-        med = sorted(samples)[len(samples) // 2]
+    for lg, med in zip(sizes, fwht_timings(sizes, args.reps)):
         ratio = "" if prev is None else f"{med / prev:8.2f}"
         naive = ""
         if lg <= MAX_DENSE_LEVELS:
+            v = rng.standard_normal(1 << lg)
             t0 = time.perf_counter()
             naive_walsh_transform(v)
             naive = f"{(time.perf_counter() - t0) * 1e3:12.3f}"

@@ -216,7 +216,7 @@ def fwht(values, /) -> np.ndarray:
     a = a.reshape(-1, n)
     h = 1
     while h < n:
-        a = a.reshape(a.shape[0], -1, 2, h)
+        a = a.reshape(a.shape[0], n // (2 * h), 2, h)
         low = a[:, :, 0, :] - a[:, :, 1, :]
         a[:, :, 0, :] += a[:, :, 1, :]
         a[:, :, 1, :] = low

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .dyadic import CoeffVector, Resolution, StepFunction, analysis, synthesis, walsh_step
+from .dyadic import CoeffVector, Resolution, StepFunction, fwht, walsh_step
 
 INF = math.inf
 
@@ -33,22 +33,23 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def pnorm(a: np.ndarray, p: float, weight: float = 1.0) -> float:
-    """(weight * sum |a_i|^p)^(1/p), max |a_i| for p = inf.
+def pnorm(a: np.ndarray, p: float, weight: float = 1.0):
+    """(weight * sum |a_i|^p)^(1/p), max |a_i| for p = inf, over the last axis.
 
-    The max is factored out before powering, so large exponents do not
-    overflow.  ``weight = 2**-m`` turns the plain sum into an integral over
-    [0, 1); ``weight = 1`` gives the sequence norm.
+    A 1-D input gives a float, a batch the array of its row norms; each row
+    of a batch comes out bit for bit as it would on its own.  The max is
+    factored out before powering, so large exponents do not overflow.
+    ``weight = 2**-m`` turns the plain sum into an integral over [0, 1);
+    ``weight = 1`` gives the sequence norm.
     """
     p = _check_exponent(p)
     mags = np.abs(np.asarray(a))
-    if mags.size == 0:
-        return 0.0
-    top = float(mags.max())
-    if p == INF or top == 0.0:
-        return top
-    s = float(((mags / top) ** p).sum()) * weight
-    return top * s ** (1.0 / p)
+    top = mags.max(axis=-1, keepdims=True, initial=0.0)
+    if p != INF:
+        s = ((mags / np.where(top > 0, top, 1.0)) ** p).sum(axis=-1, keepdims=True) * weight
+        top = top * s ** (1.0 / p)
+    out = top[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
@@ -73,19 +74,49 @@ def walsh_distance(n: int, m_idx: int, p: float, res: Resolution) -> float:
     return pnorm(diff, p, weight=2.0 ** -res.m)
 
 
+def hy_exponent(p: float) -> float:
+    """p as a float if the analysis ratio admits it (1 < p <= 2), else ValueError."""
+    p = _check_exponent(p)
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"analysis ratio needs 1 < p <= 2, got {p}")
+    return p
+
+
+def synthesis_exponent(p: float) -> float:
+    """p as a float if the synthesis ratio admits it (1 < p < 2), else ValueError."""
+    p = _check_exponent(p)
+    if not 1.0 < p < 2.0:
+        raise ValueError(f"synthesis ratio needs 1 < p < 2, got {p}")
+    return p
+
+
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
+def hy_ratios(values: np.ndarray, p: float) -> np.ndarray:
+    """``hy_ratio`` of each row of cell values, 0 for a zero row; p unchecked."""
+    dim = values.shape[-1]
+    num = pnorm(fwht(values) / dim, dual_exponent(p))
+    return _ratios(num, pnorm(values, p, 1.0 / dim))
+
+
+def synthesis_ratios(coeffs: np.ndarray, p: float) -> np.ndarray:
+    """``synthesis_ratio`` of each row of coefficients, 0 for a zero row; p unchecked."""
+    num = pnorm(fwht(coeffs), p, 1.0 / coeffs.shape[-1])
+    return _ratios(num, pnorm(coeffs, dual_exponent(p)))
+
+
 def hy_ratio(f: StepFunction, p: float) -> float:
     """Ratio ||f_hat||_{p'} / ||f||_p for 1 < p <= 2.
 
     Each observed ratio is a lower bound for the best analysis constant at
     this resolution.  At p = 2 the ratio is identically 1 (Parseval).
     """
-    p = _check_exponent(p)
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"analysis ratio needs 1 < p <= 2, got {p}")
-    den = lp_norm(f, p)
-    if den == 0.0:
+    p = hy_exponent(p)
+    if not f.values.any():
         raise ValueError("undefined ratio for identically zero input")
-    return lq_norm(analysis(f), dual_exponent(p)) / den
+    return float(hy_ratios(f.values, p))
 
 
 def synthesis_ratio(c: CoeffVector, p: float) -> float:
@@ -94,10 +125,7 @@ def synthesis_ratio(c: CoeffVector, p: float) -> float:
     Lower bound for the best synthesis constant at this resolution; no
     ceiling is asserted (see the constant probes for measured growth).
     """
-    p = _check_exponent(p)
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"synthesis ratio needs 1 < p < 2, got {p}")
-    den = lq_norm(c, dual_exponent(p))
-    if den == 0.0:
+    p = synthesis_exponent(p)
+    if not c.coeffs.any():
         raise ValueError("undefined ratio for identically zero input")
-    return lp_norm(synthesis(c), p) / den
+    return float(synthesis_ratios(c.coeffs, p))

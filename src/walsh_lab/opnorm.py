@@ -6,16 +6,19 @@ Exact paths:
   ``||W_n||_r = 1`` gives it from below; from above,
   ``||Tf||_q <= ||Tf||_2 <= sup|a| ||f||_2 <= sup|a| ||f||_p`` because [0, 1)
   is a probability space.  At (2, 2) the value is cross-checked by iteration.
-* p in {1, inf} with equal domain and range exponents: ``||k||_1`` of the
-  kernel ``k = fwht(a) / 2**m``; every column and row of the cell-space
-  matrix ``k[i ^ j]`` is a permutation of ``k``.
+* p_in = 1 or p_out = inf: T is dyadic convolution with the kernel
+  ``K = sum_n a_n W_n`` (cell values ``fwht(a)``), so
+  ``||T||_{1 -> q} = ||K||_{L^q}`` and ``||T||_{p -> inf} = ||K||_{L^{p'}}``.
+  As ``||K||_{L^r} >= |a_n|``, the value is raised to ``sup |a_n|`` if
+  rounding left it below, so it never contradicts the paths above.
 
 Every other regime gets a certified *lower* bound from a dual power
 iteration whose Rayleigh-type ratio never decreases, reported together with
 convergence metadata.  For dim <= ``GEMM_MAX_DIM`` each power step is one
-matrix product against the cell-space kernel matrix ``k[i ^ j]``; above it,
-the fast-transform pair.  ``||k||_1`` is also an upper bound for every
-p -> p norm (Riesz-Thorin between the equal endpoint norms).
+matrix product against the cell-space kernel matrix ``k[i ^ j]``,
+``k = K / 2**m``; above it, the fast-transform pair.  ``||k||_1`` is also
+an upper bound for every p -> p norm (Riesz-Thorin between the equal
+endpoint norms).
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -28,9 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Resolution, fwht, walsh_step
-from .metrics import dual_exponent, pnorm
-from .multiplier import apply_diag, kernel, kernel_matrix
+from .dyadic import MAX_DENSE_LEVELS, Resolution, fwht, walsh_step
+from .metrics import (
+    dual_exponent,
+    hy_exponent,
+    hy_ratios,
+    pnorm,
+    synthesis_exponent,
+    synthesis_ratios,
+)
+from .multiplier import apply_diag, kernel_matrix
 from .symbols import ExplicitSymbol, Symbol, tail
 
 INF = math.inf
@@ -130,9 +140,9 @@ def _phase(v: np.ndarray, mags: np.ndarray) -> np.ndarray:
 def _dual_map_rows(v: np.ndarray, q: float, mags: np.ndarray | None = None) -> np.ndarray:
     """Row-wise Hoelder duality map: phase(v) |v|**(q-1), scale-free.
 
-    q = 1 keeps only the phases; q = inf concentrates on the first
-    max-modulus coordinate.  Rows of zeros map to zeros.  ``mags`` is
-    ``np.abs(v)`` when the caller already has it.
+    q = 1 keeps only the phases; q = inf keeps those of the max-modulus
+    coordinates.  Rows of zeros map to zeros.  ``mags`` is ``np.abs(v)`` when
+    the caller already has it.
     """
     if mags is None:
         mags = np.abs(v)
@@ -140,22 +150,7 @@ def _dual_map_rows(v: np.ndarray, q: float, mags: np.ndarray | None = None) -> n
         return _phase(v, mags)
     top = mags.max(axis=-1, keepdims=True)
     safe = np.where(top > 0, top, 1.0)
-    if q == INF:
-        hit = mags == top
-        first = np.cumsum(hit, axis=-1) == 1
-        return _phase(v, mags) * (hit & first)
     return _phase(v, mags) * (mags / safe) ** (q - 1.0)
-
-
-def _row_pnorm(v: np.ndarray, p: float, weight: float, mags: np.ndarray | None = None) -> np.ndarray:
-    if mags is None:
-        mags = np.abs(v)
-    top = mags.max(axis=-1)
-    if p == INF:
-        return top
-    safe = np.where(top > 0, top, 1.0)
-    s = ((mags / safe[:, None]) ** p).sum(axis=-1) * weight
-    return top * s ** (1.0 / p)
 
 
 def _start_matrix(
@@ -217,12 +212,17 @@ def _power_lower(
     stops when its relative change drops below ``tol``.  The reduction over
     starts is a max with ties resolved by the lowest start index.
     """
+    if m > MAX_DENSE_LEVELS:
+        raise ValueError(
+            f"power iteration limited to m <= {MAX_DENSE_LEVELS}, got {m}: its "
+            f"(starts x 2**m) complex arrays would need about 15 GB at m = 20"
+        )
     w = 2.0**-m
     q_dual = dual_exponent(p_in)
     forward, adjoint = _row_operators(diag)
 
     x = _start_matrix(diag, m, random_starts, seed, extra_starts)
-    norms = _row_pnorm(x, p_in, w)
+    norms = pnorm(x, p_in, w)
     keep = norms > 0
     x = x[keep] / norms[keep][:, None]
     n_starts = x.shape[0]
@@ -241,7 +241,7 @@ def _power_lower(
         xa = x[idx]
         y = forward(xa)
         mags_y = np.abs(y)
-        g = _row_pnorm(y, p_out, w, mags_y)
+        g = pnorm(mags_y, p_out, w)
         prev = gamma[idx]
 
         if step > 0:
@@ -271,7 +271,7 @@ def _power_lower(
         u = _dual_map_rows(y[~done], p_out, mags_y[~done])
         z = adjoint(u)
         xn = _dual_map_rows(z, q_dual)
-        nn = _row_pnorm(xn, p_in, w)
+        nn = pnorm(xn, p_in, w)
         alive = nn > 0
         active[still[~alive]] = False
         sel = still[alive]
@@ -295,11 +295,7 @@ def opnorm(
     p_out: float,
     *,
     seed: int = 0,
-    random_starts: int = DEFAULT_RANDOM_STARTS,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    extra_starts=None,
-    cross_check: bool | None = None,
 ) -> NormEstimate:
     """Norm of the multiplier on the 2**m-dimensional step-function space,
     measured from the L^{p_in} domain norm to the L^{p_out} range norm.
@@ -307,12 +303,14 @@ def opnorm(
     Paths:
 
     * ``p_in = p_out = 2``: exact, ``max |a_n|``, cross-checked against the
-      iterative estimator unless ``cross_check=False``.
+      iterative estimator when m <= 10.
     * ``p_in >= 2 >= p_out`` otherwise: exact, ``max |a_n|`` in closed form,
       no iteration (see the module docstring for the two-line proof).
-    * ``p_in = p_out in {1, inf}``: exact, ``||k||_1`` of the kernel
-      ``k = fwht(a) / 2**m`` (the column / row sum of ``k[i ^ j]``).
-    * anything else: iterative lower bound (see ``_power_lower``).
+    * ``p_in = 1`` or ``p_out = inf``: exact, ``||K||_{L^r}`` of the kernel
+      ``K = fwht(a)`` with ``r = p_out`` if ``p_in = 1``, else ``r = p_in'``
+      (the dual exponent), raised to ``max |a_n|`` if rounding left it below;
+      O(N log N) at every m.
+    * anything else: iterative lower bound (see ``_power_lower``), m <= 12.
     """
     for p in (p_in, p_out):
         if math.isnan(float(p)) or float(p) < 1.0:
@@ -321,35 +319,30 @@ def opnorm(
     p_out = float(p_out)
     m = res.m
     diag = sym.values(res.dim)
+    sup = float(np.abs(diag).max())
 
     if p_in == p_out == 2.0:
-        exact = float(np.abs(diag).max())
-        if cross_check is None:
-            cross_check = m <= 10
         iters = 0
-        if cross_check:
+        if m <= 10:
             run = _power_lower(
                 diag, m, 2.0, 2.0,
                 seed=seed, random_starts=4, tol=tol, max_iter=200,
             )
-            if abs(run.value - exact) > 1e-8 * max(1.0, exact):
+            if abs(run.value - sup) > 1e-8 * max(1.0, sup):
                 raise RuntimeError(
-                    f"p=2 exact norm {exact} and power iteration {run.value} disagree"
+                    f"p=2 exact norm {sup} and power iteration {run.value} disagree"
                 )
             iters = run.iterations
-        return NormEstimate(exact, EXACT, iterations=iters, residual=0.0, starts=0)
+        return NormEstimate(sup, EXACT, iterations=iters, residual=0.0, starts=0)
 
     if p_in >= 2.0 >= p_out:
-        return NormEstimate(float(np.abs(diag).max()), EXACT)
+        return NormEstimate(sup, EXACT)
 
-    if p_in == p_out and p_in in (1.0, INF):
-        return NormEstimate(pnorm(kernel(diag), 1.0), EXACT)
+    if p_in == 1.0 or p_out == INF:
+        r = p_out if p_in == 1.0 else dual_exponent(p_in)
+        return NormEstimate(max(pnorm(fwht(diag), r, 2.0**-m), sup), EXACT)
 
-    run = _power_lower(
-        diag, m, p_in, p_out,
-        seed=seed, random_starts=random_starts, tol=tol, max_iter=max_iter,
-        extra_starts=extra_starts,
-    )
+    run = _power_lower(diag, m, p_in, p_out, seed=seed, tol=tol)
     return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts)
 
 
@@ -429,10 +422,6 @@ def multiplier_bound_check(
     p: float,
     *,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    random_starts: int = DEFAULT_RANDOM_STARTS,
-    exchange_rounds: int = 8,
 ) -> MultiplierBoundReport:
     """Measure the p -> p lower bound, its ratio to sup |a_n|, and the
     adjoint symmetry: the conjugate symbol at the dual exponent must give the
@@ -440,7 +429,7 @@ def multiplier_bound_check(
 
     The two power runs exchange Hoelder-dual witnesses until neither
     improves, so the reported pair agrees to iteration tolerance while both
-    sides remain genuine lower bounds.
+    sides remain genuine lower bounds (at most 8 exchange rounds).
     """
     p = float(p)
     if not 1.0 < p < INF:
@@ -452,20 +441,17 @@ def multiplier_bound_check(
     conj_diag = np.conj(diag)
     sup = float(np.abs(diag).max())
 
-    kwargs = dict(random_starts=random_starts, tol=tol, max_iter=max_iter)
-    run_a = _power_lower(diag, m, p, p, seed=seed, **kwargs)
-    run_b = _power_lower(conj_diag, m, q, q, seed=seed + 1, **kwargs)
+    run_a = _power_lower(diag, m, p, p, seed=seed)
+    run_b = _power_lower(conj_diag, m, q, q, seed=seed + 1)
 
-    for _ in range(exchange_rounds):
+    for _ in range(8):
         gap = abs(run_a.value - run_b.value)
-        if gap <= tol * max(1.0, run_a.value, run_b.value):
+        if gap <= DEFAULT_TOL * max(1.0, run_a.value, run_b.value):
             break
         start_b = _dual_witness(diag, m, p, run_a.witness)
         start_a = _dual_witness(conj_diag, m, q, run_b.witness)
-        run_b = _power_lower(
-            conj_diag, m, q, q, seed=seed + 1, extra_starts=[start_b], **kwargs
-        )
-        run_a = _power_lower(diag, m, p, p, seed=seed, extra_starts=[start_a], **kwargs)
+        run_b = _power_lower(conj_diag, m, q, q, seed=seed + 1, extra_starts=[start_b])
+        run_a = _power_lower(diag, m, p, p, seed=seed, extra_starts=[start_a])
 
     ratio = run_a.value / sup if sup > 0 else 0.0
     probe = ConstantProbe(
@@ -490,46 +476,27 @@ def multiplier_bound_check(
     )
 
 
-def _hy_ratios(batch: np.ndarray, p: float, m: int) -> np.ndarray:
-    dim = 1 << m
-    coeffs = fwht(batch) / dim
-    num = _row_pnorm(coeffs, dual_exponent(p), 1.0)
-    den = _row_pnorm(batch, p, 2.0**-m)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def _synthesis_ratios(batch: np.ndarray, p: float, m: int) -> np.ndarray:
-    num = _row_pnorm(fwht(batch), p, 2.0**-m)
-    den = _row_pnorm(batch, dual_exponent(p), 1.0)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
 def constant_probe(
     inequality: str,
     p: float,
     res: Resolution,
     trials: int = 10000,
     seed: int = 0,
-    *,
-    ascent_starts: int = 4,
-    max_passes: int = 16,
 ) -> ConstantProbe:
     """Empirical lower bound for an analysis/synthesis constant.
 
     Random complex starts evaluated in a batch, then coordinate sign/phase
-    ascent (multiplying one coordinate by -1 or +-i) from the best starts
-    until no single-coordinate change improves the ratio.  The observed
-    maximum only ever grows, and the best witness is stored.
+    ascent (multiplying one coordinate by -1 or +-i) from the 4 best starts
+    until no single-coordinate change improves the ratio, at most 16 passes
+    each.  The observed maximum only ever grows, and the best witness is
+    stored.
     """
-    p = float(p)
     if inequality == "hy":
-        if not 1.0 < p <= 2.0:
-            raise ValueError(f"analysis probe needs 1 < p <= 2, got {p}")
-        ratios_of = _hy_ratios
+        p = hy_exponent(p)
+        ratios_of = hy_ratios
     elif inequality == "synthesis":
-        if not 1.0 < p < 2.0:
-            raise ValueError(f"synthesis probe needs 1 < p < 2, got {p}")
-        ratios_of = _synthesis_ratios
+        p = synthesis_exponent(p)
+        ratios_of = synthesis_ratios
     else:
         raise ValueError(f"unknown inequality {inequality!r} (expected 'hy' or 'synthesis')")
     if trials < 1:
@@ -539,22 +506,22 @@ def constant_probe(
     dim = res.dim
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    ratios = ratios_of(batch, p, m)
+    ratios = ratios_of(batch, p)
 
-    order = np.argsort(-ratios, kind="stable")[: max(1, ascent_starts)]
+    order = np.argsort(-ratios, kind="stable")[:4]
     best_ratio = float(ratios[order[0]])
     best_witness = batch[order[0]].copy()
 
     for row in order:
         x = batch[row].copy()
-        current = float(ratios_of(x[None, :], p, m)[0])
-        for _ in range(max_passes):
+        current = float(ratios_of(x, p))
+        for _ in range(16):
             improved = False
             for i in range(dim):
                 keep = x[i]
                 for mul in (-1.0, 1j, -1j):
                     x[i] = keep * mul
-                    trial = float(ratios_of(x[None, :], p, m)[0])
+                    trial = float(ratios_of(x, p))
                     if trial > current * (1.0 + 1e-14):
                         current = trial
                         keep = x[i]

@@ -166,18 +166,14 @@ def resolvent_norm_l2(sym: Symbol, lam: complex) -> float:
     return INF if d == 0.0 else 1.0 / d
 
 
-def membership(
-    sym: Symbol,
-    query: SpectralQuery,
-    *,
-    test_seed: int = 7,
-) -> MembershipCertificate:
+def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
     """Classify the shift and produce the corresponding certificate.
 
     Exactly one of the verdicts holds: a certified gap above the query
     tolerance yields the resolvent verdict, anything at or below it the
     spectrum verdict.  The undetermined verdict appears only if a resolvent
-    certificate unexpectedly fails its own composition check.
+    certificate unexpectedly fails its own composition check.  The
+    composition is tested on one complex-normal function drawn with seed 7.
     """
     lam = complex(query.lam)
     res = Resolution(query.m)
@@ -185,7 +181,7 @@ def membership(
 
     if delta > query.tolerance:
         b, delta = resolvent_symbol(sym, lam, query.tolerance)
-        rng = np.random.default_rng(test_seed)
+        rng = np.random.default_rng(7)
         f = StepFunction(
             res, rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim)
         )
@@ -350,10 +346,10 @@ def riesz_schauder_check(sym: Symbol, res: Resolution, eps_grid) -> list[dict]:
     return rows
 
 
-def spectral_report(sym: Symbol, query: SpectralQuery, **membership_opts) -> SpectralReport:
+def spectral_report(sym: Symbol, query: SpectralQuery) -> SpectralReport:
     """Assemble the full diagnostic for one symbol and shift."""
     res = Resolution(query.m)
-    cert = membership(sym, query, **membership_opts)
+    cert = membership(sym, query)
     acc = "n/a"
     if sym.is_c0:
         rows = riesz_schauder_check(sym, res, [0.5, 0.1, 0.05])

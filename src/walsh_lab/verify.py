@@ -86,7 +86,7 @@ def core_checks(seed: int = 0) -> list[CheckResult]:
     gap = np.abs(fwht(v6) - naive).max()
     out.append(CheckResult("fwht equals naive double loop (m=6)", gap < 1e-12, f"max err = {gap:.2e}"))
 
-    times = _fwht_timings(range(16, 21), reps=3)
+    times = fwht_timings(range(16, 21), reps=3)
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     worst = max(ratios)
     out.append(
@@ -100,7 +100,8 @@ def core_checks(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _fwht_timings(log_sizes, reps: int = 3) -> list[float]:
+def fwht_timings(log_sizes, reps: int = 3) -> list[float]:
+    """Median seconds of ``reps`` fwht calls on one real vector per size 2**lg."""
     rng = np.random.default_rng(1)
     out = []
     for lg in log_sizes:

@@ -130,6 +130,14 @@ def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):
         assert estimate == pytest.approx(k_l1, rel=1e-13)
 
 
+def test_opnorm_sweep_refuses_power_iteration_above_m12(capsys):
+    code, _, err = run_cli(capsys, "sweep", "opnorm", "--m", "13", "--p-in", "1.5", "--p-out", "1.5")
+    assert code == 2 and "m <= 12" in err
+    code, out, _ = run_cli(capsys, "sweep", "opnorm", "--m", "16", "--p-in", "1", "--p-out", "3")
+    assert code == 0
+    assert out.splitlines()[2].split(",")[6] == "exact"
+
+
 def test_opnorm_sweep_schema(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -131,6 +131,12 @@ def test_fwht_batches_along_last_axis():
     assert np.array_equal(fwht(block), rows)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_fwht_empty_batch_keeps_shape_and_dtype(dtype):
+    out = fwht(np.zeros((0, 4), dtype=dtype))
+    assert out.shape == (0, 4) and out.dtype == dtype
+
+
 def test_walsh_matrix_agrees_with_walsh_value():
     res = Resolution(4)
     h = walsh_matrix(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     CoeffVector,
@@ -12,6 +14,7 @@ from walsh_lab import (
     hy_ratio,
     lp_norm,
     lq_norm,
+    pnorm,
     synthesis_ratio,
     walsh_distance,
     walsh_step,
@@ -55,6 +58,28 @@ def test_lq_norm_basics():
     for q in (1.0, 2.0, 7.0, INF):
         assert lq_norm(CoeffVector(res, e2), q) == 1.0
     assert lq_norm(CoeffVector(res, np.ones(4)), 2.0) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 10),
+    rows=st.integers(1, 6),
+    p=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 5.0, INF]),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_pnorm_matches_each_row_bit_for_bit(m, rows, p, weighted, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    batch = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    batch[rng.random(rows) < 0.3] = 0.0
+    weight = 2.0**-m if weighted else 1.0
+    got = pnorm(batch, p, weight)
+    assert got.shape == (rows,)
+    for row, value in zip(batch, got):
+        single = pnorm(row, p, weight)
+        assert isinstance(single, float)
+        assert single == value
 
 
 def test_lq_of_analysis_is_parseval():

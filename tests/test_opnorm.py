@@ -15,10 +15,12 @@ from walsh_lab import (
     Resolution,
     UnitDiracSymbol,
     constant_probe,
+    dual_exponent,
     multiplier_bound_check,
     opnorm,
     opnorm_upper_interpolated,
     random_explicit_symbol,
+    resolvent_symbol,
     tail_norm,
 )
 from walsh_lab.multiplier import apply_diag
@@ -124,6 +126,57 @@ def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
         assert est.iterations == 0
     run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
     assert run.value <= sup * (1.0 + 1e-12)
+
+
+exponent_at_least_1 = st.one_of(st.floats(1.0, 50.0), st.just(INF))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(0, 8),
+    other=exponent_at_least_1,
+    l1_domain=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_l1_domain_and_sup_range_norms_are_dense_column_and_row_norms(m, other, l1_domain, seed):
+    # ||T||_{1->q} is the largest L^q norm of a column of N * M (the image
+    # of a normalized cell indicator); ||T||_{p->inf} is the largest
+    # L^{p'} norm of a row of N * M (the functional giving one cell of Tf).
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    sym = ExplicitSymbol(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), "zero")
+    p_in, p_out = (1.0, other) if l1_domain else (other, INF)
+    scaled = np.abs(dim * MultiplierMatrix(sym, Resolution(m)).dense())
+    lines, r = (scaled.T, p_out) if l1_domain else (scaled, dual_exponent(p_in))
+    top = lines.max()
+    if r == INF:
+        want = top
+    else:
+        want = top * (((lines / top) ** r).sum(axis=1) / dim).max() ** (1.0 / r)
+    est = opnorm(sym, Resolution(m), p_in, p_out, seed=seed % 1000)
+    assert (est.kind, est.iterations) == ("exact", 0)
+    assert abs(est.value - want) <= 1e-13 * want
+    run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
+    assert run.value <= est.value * (1.0 + 1e-12)
+
+
+def test_exact_values_agree_across_paths():
+    # A one-signed kernel has ||k||_1 = sup|a_n|; the rounded kernel norm
+    # used to land an ulp below the (2, 2) value of the same operator.
+    b, _ = resolvent_symbol(ReciprocalSymbol(), 2.0)
+    res = Resolution(8)
+    two = opnorm(b, res, 2.0, 2.0)
+    assert two.value == 1.0
+    for p_in, p_out in ((1.0, 1.0), (INF, INF), (1.0, 3.0), (1.5, INF)):
+        est = opnorm(b, res, p_in, p_out)
+        assert est.kind == "exact" and est.value >= two.value
+
+
+def test_power_iteration_refuses_memory_heavy_resolutions():
+    with pytest.raises(ValueError, match="m <= 12"):
+        opnorm(ReciprocalSymbol(), Resolution(13), 1.5, 1.5)
+    est = opnorm(ReciprocalSymbol(), Resolution(13), 1.0, 3.0)
+    assert (est.kind, est.iterations) == ("exact", 0)
 
 
 def test_exact_kernel_permutation_stays_finite():
