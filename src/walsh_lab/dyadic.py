@@ -188,8 +188,23 @@ def fwht(values, /) -> np.ndarray:
     multiplies by N.  Integer inputs stay in int64 and are exact: partial sums
     are bounded by ``max|x| * N``, and ``max|x| * N > 2**63 - 1`` raises
     ``OverflowError``.  Float and complex inputs are computed in float64.
+
+    The butterfly is the constant-geometry (Pease) form inside shrinking
+    blocks, ping-ponging between two buffers: stage k splits the index range
+    into ``2**k`` blocks and writes the sums of neighbouring pairs to each
+    block's first half, their differences to its second half, so a level is
+    two ufunc passes with no temporary.  Index bits are paired bottom-up, so
+    every add and subtract takes the same operands as the in-place radix-2
+    loop (and the result is bit for bit the same); as stage k writes its bit
+    to the top of its block, the output lands in Paley order with no
+    bit-reversal gather.  The input is only read.
+
+    The buffers are ``(N, rows)`` arrays, the batch axis fastest in memory,
+    and the result is their transpose.  Row reductions downstream (``pnorm``
+    of a batch) sum in memory order, so this fixed layout also fixes their
+    last bits; a C-ordered batch is transposed by the first stage's reads.
     """
-    a = np.array(values, subok=False)
+    a = np.asarray(values)
     if a.ndim == 0:
         raise ValueError("expected at least one axis")
     kind = a.dtype.kind
@@ -202,28 +217,32 @@ def fwht(values, /) -> np.ndarray:
                 raise OverflowError(
                     f"integer fwht needs max|x| * N <= 2**63 - 1, got max|x| * N = {top}"
                 )
-        a = a.astype(np.int64)
+        dtype = np.int64
     elif kind == "f":
-        a = a.astype(np.float64, copy=False)
+        dtype = np.float64
     elif kind == "c":
-        a = a.astype(np.complex128, copy=False)
+        dtype = np.complex128
     else:
         raise TypeError(f"cannot transform values of dtype {a.dtype}")
     n = a.shape[-1]
     m = _levels_for_length(n)
+    if not m:
+        return a.astype(dtype)
 
-    shape = a.shape
-    a = a.reshape(-1, n)
-    h = 1
-    while h < n:
-        a = a.reshape(a.shape[0], n // (2 * h), 2, h)
-        low = a[:, :, 0, :] - a[:, :, 1, :]
-        a[:, :, 0, :] += a[:, :, 1, :]
-        a[:, :, 1, :] = low
-        a = a.reshape(-1, n)
-        h <<= 1
-    a = a[:, _bit_reversal(m)]
-    return a.reshape(shape)
+    src = a.reshape(-1, n).T
+    rows = src.shape[1]
+    out = np.empty((n, rows), dtype)
+    spare = np.empty_like(out)
+    for k in range(m):
+        # The last stage (k = m - 1) writes into ``out``.
+        dst = out if (m - k) % 2 else spare
+        pairs = src.reshape(1 << k, n >> (k + 1), 2, rows)
+        halves = dst.reshape(1 << k, 2, n >> (k + 1), rows)
+        # ``dtype`` casts bool, uint8, float32, ... inputs on the first read.
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, 0], dtype=dtype)
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, 1], dtype=dtype)
+        src = dst
+    return out.T.reshape(a.shape)
 
 
 def naive_walsh_transform(values) -> np.ndarray:

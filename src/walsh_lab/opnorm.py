@@ -12,13 +12,15 @@ Exact paths:
   As ``||K||_{L^r} >= |a_n|``, the value is raised to ``sup |a_n|`` if
   rounding left it below, so it never contradicts the paths above.
 
-Every other regime gets a certified *lower* bound from a dual power
-iteration whose Rayleigh-type ratio never decreases, reported together with
-convergence metadata.  For dim <= ``GEMM_MAX_DIM`` each power step is one
-matrix product against the cell-space kernel matrix ``k[i ^ j]``,
-``k = K / 2**m``; above it, the fast-transform pair.  ``||k||_1`` is also
-an upper bound for every p -> p norm (Riesz-Thorin between the equal
-endpoint norms).
+Every other regime gets a *lower* bound from a dual power iteration whose
+Rayleigh-type ratio never decreases, reported together with convergence
+metadata.  It is a lower bound up to a few ulps of rounding, not a certified
+one: run on geometric r = 0.7 at m = 7, (1.25, inf) (since given the exact
+path above), the loop returned a value 1.5e-15 relative above the exact
+norm.  For dim <= ``GEMM_MAX_DIM`` each power step is one matrix product
+against the cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above
+it, the fast-transform pair.  ``||k||_1`` is also an upper bound for every
+p -> p norm (Riesz-Thorin between the equal endpoint norms).
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -59,21 +61,30 @@ _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 # Power steps multiply by the dense kernel matrix up to this dimension and
 # use the transform pair above it.  Per (84, dim) complex batch on a 2-vCPU
-# x86-64 VM with OpenBLAS 0.3.31, the product beats the pair about 10x at 64
-# and 3x at 256 in both wall and CPU time; at 512 it is still 2x faster in
-# wall time but costs more CPU (two BLAS threads), and at 1024 it breaks even.
+# x86-64 VM with OpenBLAS 0.3.31 (medians of 400 calls, three runs), the
+# product takes 0.03 ms against 0.19 ms for the pair at 64, and 0.45-0.47 ms
+# wall and CPU against 0.73-1.03 ms at 256; at 512 the pair ties in wall time
+# (1.7-1.8 against 1.8-1.9 ms) and costs less CPU (1.7-1.8 against
+# 2.0-2.3 ms, two BLAS threads).  Moving the cutoff would also change the
+# rounding, and so the printed bytes, of power-loop values at the dims
+# between the old and the new cutoff.
 GEMM_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A norm value tagged exact / lower / upper with convergence metadata."""
+    """A norm value tagged exact / lower / upper with convergence metadata.
+
+    ``converged`` is false when the iteration behind a ``lower`` value used up
+    ``max_iter`` without meeting its tolerance.
+    """
 
     value: float
     kind: str
     iterations: int = 0
     residual: float = 0.0
     starts: int = 0
+    converged: bool = True
 
 
 @dataclass
@@ -122,6 +133,7 @@ class _PowerResult:
     iterations: int
     residual: float
     starts: int
+    converged: bool
     histories: list[list[float]] | None = None
 
 
@@ -210,7 +222,9 @@ def _power_lower(
 
     Per start the ratio ||T x_k|| / ||x_k|| is nondecreasing in k; iteration
     stops when its relative change drops below ``tol``.  The reduction over
-    starts is a max with ties resolved by the lowest start index.
+    starts is a max with ties resolved by the lowest start index;
+    ``converged`` says whether that start stopped on ``tol`` or as a zero row
+    rather than at ``max_iter``.
     """
     if m > MAX_DENSE_LEVELS:
         raise ValueError(
@@ -284,6 +298,7 @@ def _power_lower(
         iterations=int(iterations[best]),
         residual=float(residual[best]) if math.isfinite(residual[best]) else float("inf"),
         starts=n_starts,
+        converged=not active[best],
         histories=histories,
     )
 
@@ -343,7 +358,7 @@ def opnorm(
         return NormEstimate(max(pnorm(fwht(diag), r, 2.0**-m), sup), EXACT)
 
     run = _power_lower(diag, m, p_in, p_out, seed=seed, tol=tol)
-    return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts)
+    return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts, run.converged)
 
 
 def opnorm_upper_interpolated(sym: Symbol, res: Resolution, p: float) -> NormEstimate:
@@ -467,8 +482,12 @@ def multiplier_bound_check(
     return MultiplierBoundReport(
         p=p,
         m=m,
-        estimate=NormEstimate(run_a.value, LOWER, run_a.iterations, run_a.residual, run_a.starts),
-        dual_estimate=NormEstimate(run_b.value, LOWER, run_b.iterations, run_b.residual, run_b.starts),
+        estimate=NormEstimate(
+            run_a.value, LOWER, run_a.iterations, run_a.residual, run_a.starts, run_a.converged
+        ),
+        dual_estimate=NormEstimate(
+            run_b.value, LOWER, run_b.iterations, run_b.residual, run_b.starts, run_b.converged
+        ),
         sup=sup,
         ratio=ratio,
         duality_gap=abs(run_a.value - run_b.value),

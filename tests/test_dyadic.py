@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     CoeffVector,
@@ -15,6 +17,7 @@ from walsh_lab import (
     walsh_step,
     walsh_value,
 )
+from walsh_lab.dyadic import _bit_reversal
 
 
 def naive_transform(values, res):
@@ -79,6 +82,80 @@ def test_xor_product_rule_sampled_large():
         wn = walsh_step(int(n), res).values.real
         wm = walsh_step(int(m), res).values.real
         assert np.array_equal(wn * wm, walsh_step(int(n ^ m), res).values.real)
+
+
+def _fwht_radix2_reference(values):
+    """The in-place radix-2 butterfly followed by the Paley bit-reversal
+    gather, as ``fwht`` computed it before its constant-geometry stages."""
+    a = np.array(values, subok=False)
+    kind = a.dtype.kind
+    a = a.astype(np.int64 if kind in "bui" else np.float64 if kind == "f" else np.complex128)
+    n = a.shape[-1]
+    shape = a.shape
+    a = a.reshape(-1, n)
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[0], n // (2 * h), 2, h)
+        low = a[:, :, 0, :] - a[:, :, 1, :]
+        a[:, :, 0, :] += a[:, :, 1, :]
+        a[:, :, 1, :] = low
+        a = a.reshape(-1, n)
+        h <<= 1
+    a = a[:, _bit_reversal(n.bit_length() - 1)]
+    return a.reshape(shape)
+
+
+def _draw(rng, dtype, shape):
+    if dtype == np.bool_:
+        return rng.integers(0, 2, shape).astype(bool)
+    if dtype == np.uint8:
+        return rng.integers(0, 256, shape).astype(np.uint8)
+    if dtype == np.int64:
+        return rng.integers(-(2**40), 2**40, shape)
+    scale = np.exp2(rng.integers(-30, 30, shape))
+    x = rng.standard_normal(shape) * scale
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal(shape) * scale
+    return x.astype(dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(0, 12),
+    dtype=st.sampled_from([np.bool_, np.uint8, np.int64, np.float32, np.float64, np.complex128]),
+    lead=st.sampled_from([(), (3,), (2, 3), (0,)]),
+    layout=st.sampled_from(["C", "F", "strided", "readonly"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=0, dtype=np.float64, lead=(), layout="C", seed=0)
+@example(m=0, dtype=np.int64, lead=(3,), layout="readonly", seed=0)
+def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 << m
+    if layout == "strided":
+        x = _draw(rng, dtype, (*lead, 2 * n))[..., ::2]
+    else:
+        x = _draw(rng, dtype, (*lead, n))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "readonly":
+        x.flags.writeable = False
+    before = x.copy()
+    out = fwht(x)
+    ref = _fwht_radix2_reference(x)
+    assert out.shape == x.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+    if m:
+        # Batch reductions sum in memory order, so the layout is pinned too.
+        assert out.strides == ref.strides
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, x)
+
+
+def test_fwht_twice_is_exactly_n_times_identity_at_m20():
+    rng = np.random.default_rng(20)
+    x = 2 * rng.integers(0, 2, 1 << 20) - 1
+    assert np.array_equal(fwht(fwht(x)), (1 << 20) * x)
 
 
 def test_fwht_double_application_scales():

@@ -52,6 +52,17 @@ def test_reciprocal_scales_walsh_functions():
     assert np.array_equal(out.values, w4.values / 5)
 
 
+def test_walsh_functions_scale_exactly_at_m16():
+    # Bit-exact diagonality far above the resolutions of the other tests.
+    res = Resolution(16)
+    rng = np.random.default_rng(16)
+    prefix = rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim)
+    sym = ExplicitSymbol(prefix, "zero")
+    for n in rng.integers(0, res.dim, 3):
+        w = walsh_step(int(n), res)
+        assert np.array_equal(apply(sym, w).values, prefix[n] * w.values)
+
+
 def test_diagonality_exact():
     res = Resolution(10)
     sym = GeometricSymbol(0.7)

@@ -1,5 +1,7 @@
+import importlib
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,6 +197,24 @@ def test_power_iteration_ratios_never_decrease():
         run = _power_lower(diag, 6, 1.5, 1.5, seed=k, want_history=True)
         for hist in run.histories:
             assert all(b >= a - 1e-12 * (1 + abs(b)) for a, b in zip(hist, hist[1:]))
+
+
+def test_stop_at_max_iter_is_reported(monkeypatch):
+    res = Resolution(8)
+    sym = ReciprocalSymbol()
+    assert _power_lower(sym.values(res.dim), 8, 1.5, 3.0, max_iter=1).converged is False
+    est = opnorm(sym, res, 1.5, 3.0)
+    assert (est.kind, est.converged) == ("lower", True)
+    for p_in, p_out in ((2.0, 2.0), (3.0, 1.5), (1.0, 3.0), (1.5, INF), (1.0, 1.0)):
+        est = opnorm(sym, res, p_in, p_out)
+        assert (est.kind, est.converged) == ("exact", True)
+
+    # The package re-exports the function ``opnorm`` under the module's name.
+    module = importlib.import_module("walsh_lab.opnorm")
+    monkeypatch.setattr(module, "_power_lower", partial(_power_lower, max_iter=1))
+    assert opnorm(sym, res, 1.5, 3.0).converged is False
+    report = multiplier_bound_check(sym, Resolution(6), 1.5)
+    assert report.estimate.converged is False and report.dual_estimate.converged is False
 
 
 def test_opnorm_homogeneity():
