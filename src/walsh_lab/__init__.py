@@ -13,7 +13,6 @@ from .dyadic import (
     analysis,
     coeff_vector,
     fwht,
-    naive_walsh_transform,
     rademacher_value,
     step_function,
     synthesis,

@@ -1,4 +1,4 @@
-"""Command-line front end: verification suites, sweeps, probes, benchmarks.
+"""Command-line front end: verification suites, sweeps and probes.
 
 Every stochastic path is driven by a single 64-bit seed (numpy PCG64 via
 ``default_rng``), printed in the output, so reruns with the same
@@ -17,20 +17,18 @@ import math
 import os
 import sys
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .dyadic import MAX_DENSE_LEVELS, Resolution, naive_walsh_transform
+from .dyadic import Resolution
 from .opnorm import constant_probe, opnorm
 from .spectral import SpectralQuery, compactness_report, membership
 from .symbols import Symbol, symbol_from_json
-from .verify import fwht_timings, run_suite
+from .verify import SUITES, run_suite
 
 MAX_TRANSFORM_LEVELS = 20
-MAX_BENCH_LOG2 = 24
 
 OPNORM_HEADER = ["family", "m", "p_in", "p_out", "N", "estimate", "kind", "analytic_sup", "iterations", "seed"]
 DECAY_HEADER = ["family", "p_in", "p_out", "m", "N", "estimate", "analytic_sup", "verdict"]
@@ -260,39 +258,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.reps <= 0:
-        print("config error: reps must be positive", file=sys.stderr)
-        return 2
-    if not 1 <= args.n_min_log2 <= args.n_max_log2 <= MAX_BENCH_LOG2:
-        print(f"config error: need 1 <= n_min <= n_max <= {MAX_BENCH_LOG2}", file=sys.stderr)
-        return 2
-    sizes = range(args.n_min_log2, args.n_max_log2 + 1)
-    rng = np.random.default_rng(0)
-    print(f"{'log2(N)':>8} {'fwht_ms':>12} {'ratio':>8} {'naive_ms':>12}")
-    prev = None
-    for lg, med in zip(sizes, fwht_timings(sizes, args.reps)):
-        ratio = "" if prev is None else f"{med / prev:8.2f}"
-        naive = ""
-        if lg <= MAX_DENSE_LEVELS:
-            v = rng.standard_normal(1 << lg)
-            t0 = time.perf_counter()
-            naive_walsh_transform(v)
-            naive = f"{(time.perf_counter() - t0) * 1e3:12.3f}"
-        print(f"{lg:>8} {med * 1e3:12.3f} {ratio:>8} {naive:>12}")
-        prev = med
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walsh-lab",
-        description="Walsh multiplier laboratory: verification, sweeps, probes, benchmarks.",
+        description="Walsh multiplier laboratory: verification, sweeps, probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run module invariant suites")
-    v.add_argument("suite", nargs="?", default="all", choices=["all", "core", "metrics", "multiplier", "spectral"])
+    v.add_argument("suite", nargs="?", default="all", choices=["all", *SUITES])
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
@@ -318,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.set_defaults(func=cmd_sweep)
 
-    b = sub.add_parser("bench", help="fast-transform timing table")
-    b.add_argument("--n-min-log2", type=int, default=16)
-    b.add_argument("--n-max-log2", type=int, default=20)
-    b.add_argument("--reps", type=int, default=5)
-    b.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "walsh_step",
     "walsh_matrix",
     "fwht",
-    "naive_walsh_transform",
     "analysis",
     "synthesis",
     "step_function",
@@ -200,9 +199,8 @@ def fwht(values, /) -> np.ndarray:
     bit-reversal gather.  The input is only read.
 
     The buffers are ``(N, rows)`` arrays, the batch axis fastest in memory,
-    and the result is their transpose.  Row reductions downstream (``pnorm``
-    of a batch) sum in memory order, so this fixed layout also fixes their
-    last bits; a C-ordered batch is transposed by the first stage's reads.
+    and the result is their transpose; a C-ordered batch is transposed by
+    the first stage's reads.
     """
     a = np.asarray(values)
     if a.ndim == 0:
@@ -243,13 +241,6 @@ def fwht(values, /) -> np.ndarray:
         np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, 1], dtype=dtype)
         src = dst
     return out.T.reshape(a.shape)
-
-
-def naive_walsh_transform(values) -> np.ndarray:
-    """O(N^2) reference transform via the dense Walsh matrix (m <= 12)."""
-    vals = np.asarray(values)
-    m = _levels_for_length(vals.shape[-1])
-    return vals @ walsh_matrix(m).T.astype(np.float64)
 
 
 def analysis(f: StepFunction) -> CoeffVector:

@@ -37,13 +37,15 @@ def pnorm(a: np.ndarray, p: float, weight: float = 1.0):
     """(weight * sum |a_i|^p)^(1/p), max |a_i| for p = inf, over the last axis.
 
     A 1-D input gives a float, a batch the array of its row norms; each row
-    of a batch comes out bit for bit as it would on its own.  The max is
-    factored out before powering, so large exponents do not overflow.
+    of a batch comes out bit for bit as it would on its own, whatever the
+    memory layout.  numpy sums a contiguous row pairwise and a strided one
+    in sequence, so the magnitudes are taken into C order first.  The max
+    is factored out before powering, so large exponents do not overflow.
     ``weight = 2**-m`` turns the plain sum into an integral over [0, 1);
     ``weight = 1`` gives the sequence norm.
     """
     p = _check_exponent(p)
-    mags = np.abs(np.asarray(a))
+    mags = np.abs(np.asarray(a), order="C")
     top = mags.max(axis=-1, keepdims=True, initial=0.0)
     if p != INF:
         s = ((mags / np.where(top > 0, top, 1.0)) ** p).sum(axis=-1, keepdims=True) * weight

@@ -61,8 +61,8 @@ def apply(sym: Symbol, f: StepFunction) -> StepFunction:
 class MultiplierMatrix:
     """A symbol restricted to the ``2**m``-dimensional step-function space.
 
-    ``matvec`` uses the fast transform; ``dense()`` materializes the cell-space
-    matrix ``k[i ^ j]`` (only for m <= 12) and caches it.
+    ``dense()`` materializes the cell-space matrix ``k[i ^ j]`` (only for
+    m <= 12) and caches it; ``apply_diag(self.diag, v)`` is the fast product.
     """
 
     def __init__(self, sym: Symbol, res: Resolution):
@@ -70,12 +70,6 @@ class MultiplierMatrix:
         self.resolution = res
         self.diag = sym.values(res.dim)
         self._dense: np.ndarray | None = None
-
-    def matvec(self, values: np.ndarray) -> np.ndarray:
-        return apply_diag(self.diag, np.asarray(values, dtype=np.complex128))
-
-    def adjoint_matvec(self, values: np.ndarray) -> np.ndarray:
-        return apply_diag(np.conj(self.diag), np.asarray(values, dtype=np.complex128))
 
     def dense(self) -> np.ndarray:
         if self._dense is None:

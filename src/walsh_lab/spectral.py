@@ -129,8 +129,8 @@ class SpectralReport:
         }
 
 
-def point_spectrum(sym: Symbol, res: Resolution, include_vectors: bool = False):
-    """Eigenpairs (n, a_n) for n < 2**m; W_n is the eigenvector.
+def point_spectrum(sym: Symbol, res: Resolution):
+    """Eigenpairs (n, a_n) for n < 2**m; ``walsh_step(n, res)`` is the eigenvector.
 
     The eigen-identity is verified exactly: applying the multiplier to a
     Walsh function involves only sums of a single nonzero coefficient, so
@@ -150,12 +150,7 @@ def point_spectrum(sym: Symbol, res: Resolution, include_vectors: bool = False):
         out = apply_diag(diag, rows)
         if np.abs(out - diag[lo:hi, None] * rows).max() != 0.0:
             raise RuntimeError("multiplier failed the exact eigen-identity on a Walsh function")
-        if include_vectors:
-            pairs.extend(
-                (n, complex(diag[n]), StepFunction(res, rows[n - lo])) for n in range(lo, hi)
-            )
-        else:
-            pairs.extend((n, complex(diag[n])) for n in range(lo, hi))
+        pairs.extend((n, complex(diag[n])) for n in range(lo, hi))
     return pairs
 
 

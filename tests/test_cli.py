@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from walsh_lab import ReciprocalSymbol, fwht, tail
+from walsh_lab import ReciprocalSymbol, fwht, tail, verify
 from walsh_lab.cli import main
+from walsh_lab.verify import CheckResult
 
 opnorm_module = importlib.import_module("walsh_lab.opnorm")
 
@@ -17,19 +18,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_verify_core_passes_and_names_checks(capsys):
-    code, out, _ = run_cli(capsys, "verify", "core")
-    assert code == 0
-    assert "XOR product rule" in out
-    assert "pass" in out
-    assert "FAIL" not in out
-
-
 def test_verify_metrics_mentions_distance_lemma(capsys):
     code, out, _ = run_cli(capsys, "verify", "metrics")
     assert code == 0
-    assert "walsh distance lemma" in out
-    assert "1,1.5,2,3,10,inf" in out
+    lines = out.splitlines()
+    assert "walsh distance lemma" in lines[0] and "1,1.5,2,3,10,inf" in lines[0]
+    assert all("  pass" in line for line in lines[:-1])
+    assert "FAIL" not in out
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    planted = [CheckResult("planted check", False, "max err = 1.00e+00"), CheckResult("sound check", True)]
+    monkeypatch.setitem(verify.SUITES, "metrics", lambda seed: planted)
+    code, out, _ = run_cli(capsys, "verify", "metrics")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].split() == ["planted", "check", "FAIL", "max", "err", "=", "1.00e+00"]
+    assert lines[1].split() == ["sound", "check", "pass"]
+    assert lines[2] == "1/2 checks passed"
 
 
 def test_verify_rejects_unknown_suite():
@@ -230,10 +237,10 @@ def test_config_errors_exit_2(capsys):
     assert code == 2 and "inequality" in err
     code, _, err = run_cli(capsys, "sweep", "tail-decay", "--m", "25")
     assert code == 2
-    code, _, err = run_cli(capsys, "bench", "--reps", "0")
-    assert code == 2
-    code, _, err = run_cli(capsys, "bench", "--n-max-log2", "30")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_no_partial_file_on_failure(capsys, tmp_path):
@@ -245,9 +252,3 @@ def test_no_partial_file_on_failure(capsys, tmp_path):
     assert code == 2
     assert not out_file.exists()
     assert list(tmp_path.iterdir()) == []
-
-
-def test_bench_small(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n-min-log2", "8", "--n-max-log2", "10", "--reps", "2")
-    assert code == 0
-    assert "fwht_ms" in out and "naive_ms" in out

@@ -75,15 +75,6 @@ def test_xor_product_rule_exhaustive_small():
         assert np.array_equal(rows[n] * rows, rows[np.arange(32) ^ n])
 
 
-def test_xor_product_rule_sampled_large():
-    res = Resolution(10)
-    rng = np.random.default_rng(0)
-    for n, m in rng.integers(0, 1024, size=(200, 2)):
-        wn = walsh_step(int(n), res).values.real
-        wm = walsh_step(int(m), res).values.real
-        assert np.array_equal(wn * wm, walsh_step(int(n ^ m), res).values.real)
-
-
 def _fwht_radix2_reference(values):
     """The in-place radix-2 butterfly followed by the Paley bit-reversal
     gather, as ``fwht`` computed it before its constant-geometry stages."""
@@ -146,7 +137,7 @@ def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, seed):
     assert out.shape == x.shape and out.dtype == ref.dtype
     assert out.tobytes() == ref.tobytes()
     if m:
-        # Batch reductions sum in memory order, so the layout is pinned too.
+        # The layout is pinned too: a transposed (N, rows) buffer.
         assert out.strides == ref.strides
     assert x.tobytes() == before.tobytes()
     assert not np.shares_memory(out, x)
@@ -156,12 +147,6 @@ def test_fwht_twice_is_exactly_n_times_identity_at_m20():
     rng = np.random.default_rng(20)
     x = 2 * rng.integers(0, 2, 1 << 20) - 1
     assert np.array_equal(fwht(fwht(x)), (1 << 20) * x)
-
-
-def test_fwht_double_application_scales():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(1024)
-    assert np.abs(fwht(fwht(v)) - 1024 * v).max() < 1e-12
 
 
 def test_fwht_of_ones_hits_dc_bin():
@@ -235,13 +220,6 @@ def test_analysis_of_walsh_function_is_unit_vector():
     want = np.zeros(8)
     want[5] = 1
     assert np.array_equal(c.coeffs, want)
-
-
-def test_orthonormality_exact():
-    res = Resolution(10)
-    rows = np.vstack([walsh_step(n, res).values.real for n in range(res.dim)])
-    coeffs = fwht(rows) / res.dim
-    assert np.abs(coeffs - np.eye(res.dim)).max() == 0.0
 
 
 def test_round_trips():
