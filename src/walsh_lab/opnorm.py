@@ -19,8 +19,11 @@ one: run on geometric r = 0.7 at m = 7, (1.25, inf) (since given the exact
 path above), the loop returned a value 1.5e-15 relative above the exact
 norm.  For dim <= ``GEMM_MAX_DIM`` each power step is one matrix product
 against the cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above
-it, the fast-transform pair.  ``||k||_1`` is also an upper bound for every
-p -> p norm (Riesz-Thorin between the equal endpoint norms).
+it, the fast-transform pair.  That matrix commutes with every translation
+``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
+translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
+``||k||_1`` is also an upper bound for every p -> p norm (Riesz-Thorin
+between the equal endpoint norms).
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import MAX_DENSE_LEVELS, Resolution, fwht, walsh_step
+from .dyadic import Resolution, fwht, walsh_step
 from .metrics import (
     dual_exponent,
     hy_exponent,
@@ -60,15 +63,20 @@ _MONOTONE_SLACK = 1e-9
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 # Power steps multiply by the dense kernel matrix up to this dimension and
-# use the transform pair above it.  Per (84, dim) complex batch on a 2-vCPU
+# use the transform pair above it.  Per (21, dim) complex batch on a 2-vCPU
 # x86-64 VM with OpenBLAS 0.3.31 (medians of 400 calls, three runs), the
-# product takes 0.03 ms against 0.19 ms for the pair at 64, and 0.45-0.47 ms
-# wall and CPU against 0.73-1.03 ms at 256; at 512 the pair ties in wall time
-# (1.7-1.8 against 1.8-1.9 ms) and costs less CPU (1.7-1.8 against
-# 2.0-2.3 ms, two BLAS threads).  Moving the cutoff would also change the
+# product takes 0.011 ms against 0.085 ms for the pair at 64, and 0.108 ms
+# wall (0.22 ms CPU, two BLAS threads) against 0.25-0.28 ms at 256; at 512
+# it still wins in wall time (0.39 against 0.51-0.55 ms) but costs more CPU
+# (0.78 against 0.52-0.55 ms).  Moving the cutoff would also change the
 # rounding, and so the printed bytes, of power-loop values at the dims
 # between the old and the new cutoff.
 GEMM_MAX_DIM = 256
+# The power loop holds about 170 bytes per start and cell at its peak
+# (14 MB for 21 starts at m = 12, 3.7 GB at m = 20), and one step at m = 12
+# takes about 18 ms on the VM above, so 500 steps about 9 s; each further
+# level doubles both.
+MAX_POWER_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -172,11 +180,18 @@ def _start_matrix(
     seed: int,
     extra_starts,
 ) -> np.ndarray:
-    """Default multi-start block: all-ones, cell basis vectors, the Walsh
-    functions with the largest |a_n|, then seeded random vectors."""
+    """Default multi-start block: all-ones, the cell vector ``e_0``, the Walsh
+    functions with the largest |a_n|, then seeded random vectors.
+
+    The other cell vectors would add nothing: the kernel matrix
+    ``M[i, j] = k(i ^ j)`` commutes with every translation ``i -> i ^ h``, and
+    so do the duality maps and ``pnorm``, which act per coordinate or through
+    row maxima and sums.  The run from ``e_h`` is the run from ``e_0``
+    translated, with the same ratios up to summation-order rounding.
+    """
     dim = 1 << m
     rows = [np.ones((1, dim))]
-    rows.append(np.eye(1 << min(m, 6), dim))
+    rows.append(np.eye(1, dim))
     order = np.argsort(-np.abs(diag), kind="stable")[: min(_WALSH_STARTS, dim)]
     rows.append(np.vstack([walsh_step(int(n), Resolution(m)).values.real for n in order]))
     if random_starts > 0:
@@ -226,10 +241,10 @@ def _power_lower(
     ``converged`` says whether that start stopped on ``tol`` or as a zero row
     rather than at ``max_iter``.
     """
-    if m > MAX_DENSE_LEVELS:
+    if m > MAX_POWER_LEVELS:
         raise ValueError(
-            f"power iteration limited to m <= {MAX_DENSE_LEVELS}, got {m}: its "
-            f"(starts x 2**m) complex arrays would need about 15 GB at m = 20"
+            f"power iteration limited to m <= {MAX_POWER_LEVELS}, got {m}: its "
+            f"(starts x 2**m) complex arrays would need about 3.7 GB at m = 20"
         )
     w = 2.0**-m
     q_dual = dual_exponent(p_in)

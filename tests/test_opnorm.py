@@ -2,6 +2,7 @@ import importlib
 import math
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from walsh_lab import (
     AlternatingSymbol,
     ConstantSymbol,
     ExplicitSymbol,
+    GeometricSymbol,
     MultiplierMatrix,
     ReciprocalSymbol,
     Resolution,
@@ -197,6 +199,47 @@ def test_power_iteration_ratios_never_decrease():
         run = _power_lower(diag, 6, 1.5, 1.5, seed=k, want_history=True)
         for hist in run.histories:
             assert all(b >= a - 1e-12 * (1 + abs(b)) for a, b in zip(hist, hist[1:]))
+
+
+_TRANSLATION_FAMILIES = {
+    "reciprocal": lambda m, seed: ReciprocalSymbol(),
+    "alternating": lambda m, seed: AlternatingSymbol(),
+    "geometric": lambda m, seed: GeometricSymbol(0.6 + 0.3j),
+    "explicit": lambda m, seed: random_explicit_symbol(np.random.default_rng(seed), 1 << m),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_TRANSLATION_FAMILIES)),
+    regime=st.sampled_from([(1.5, 1.5), (1.5, 3.0), (3.0, 1.5), (1.25, 1.75)]),
+    m=st.integers(1, 8),
+    h=st.integers(0, 255),
+    gemm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_translates_run_the_same_trajectory(family, regime, m, h, gemm, seed):
+    # M[i, j] = k(i ^ j) commutes with i -> i ^ h, so the run from e_h is the
+    # run from e_0 translated, on both operator paths; this is why the default
+    # block holds e_0 alone.
+    dim = 1 << m
+    diag = _TRANSLATION_FAMILIES[family](m, seed).values(dim)
+    cells = np.eye(dim)
+    module = importlib.import_module("walsh_lab.opnorm")
+    with mock.patch.object(module, "GEMM_MAX_DIM", dim if gemm else 0):
+        run = _power_lower(
+            diag, m, *regime,
+            random_starts=0, max_iter=100, extra_starts=[cells[0], cells[h % dim]], want_history=True,
+        )
+    ref, moved = run.histories[-2:]
+    assert len(moved) == len(ref)
+    np.testing.assert_allclose(moved, ref, rtol=1e-12, atol=0)
+
+
+def test_default_block_holds_one_cell_start():
+    # All-ones, e_0, three Walsh functions and 16 random starts; the other
+    # cell vectors are translates of e_0 and would repeat its run.
+    assert opnorm(ReciprocalSymbol(), Resolution(8), 1.5, 1.5).starts == 21
 
 
 def test_stop_at_max_iter_is_reported(monkeypatch):
