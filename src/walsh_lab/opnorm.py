@@ -31,6 +31,7 @@ about which path produced a value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +78,26 @@ GEMM_MAX_DIM = 256
 # takes about 18 ms on the VM above, so 500 steps about 9 s; each further
 # level doubles both.
 MAX_POWER_LEVELS = 12
+# The constant probes' ascent evaluates its candidate moves in batches up to
+# this dimension and one row at a time above it: a batched ``fwht`` with few
+# rows is slower per element than a single row at large dim.  One 12-row
+# ``hy_ratios`` call against 12 single-row calls, on the VM above (best of
+# 40-200 repeats), ran 7.7x faster at m = 6, 4.4x at 8, 2.05x at 10, 1.24x at
+# 11 and 0.72x at 12 (3 rows: 2.3x at 6, 1.0x at 10, 0.73x at 11, 0.54x at
+# 12).  A start's block then holds at most
+# ``4 * PROBE_BATCH_MAX_DIM // dim`` coordinates, three rows each.  Moving the
+# cutoff changes speed only, never bytes.
+PROBE_BATCH_MAX_DIM = 1024
+# ``constant_probe`` refuses ``trials * 2**m`` above this: its (trials, 2**m)
+# complex batch (16 B per element) and the temporaries of its ratios (40 B,
+# tracemalloc at m = 8, 12 and 16) peak at about 56 B per element, so 2**26
+# elements need about 3.8 GB.
+MAX_PROBE_ELEMS = 2**26
+_PROBE_STARTS = 4
+_PROBE_PASSES = 16
+# The ascent's moves in trial order, each with the quarter turns it adds.
+_MOVES = ((-1.0, 2), (1j, 1), (-1j, 3))
+_MOVE_MULTIPLIERS = np.array([mul for mul, _ in _MOVES])
 
 
 @dataclass(frozen=True)
@@ -510,6 +531,37 @@ def multiplier_bound_check(
     )
 
 
+def _candidate_ratios(ratios_of, p: float, xs, blocks, batched: bool) -> list[list[float]]:
+    """Ratios of the three moves ``x_i -> -x_i, i x_i, -i x_i`` at every
+    coordinate of every block ``(start, first, size)``, flattened per block as
+    ``[-1, +i, -i]`` per coordinate.
+
+    ``batched``: one ``ratios_of`` call over all rows.  Otherwise each block
+    is one coordinate, each candidate is written into the vector in place and
+    evaluated on its own, and the coordinate is restored.
+    """
+    if batched:
+        parts = []
+        for s, first, size in blocks:
+            rows = np.repeat(xs[s][None], 3 * size, axis=0)
+            idx = np.arange(first, first + size)
+            rows.reshape(size, 3, -1)[np.arange(size), :, idx] = xs[s][idx, None] * _MOVE_MULTIPLIERS
+            parts.append(rows)
+        flat = iter(ratios_of(np.concatenate(parts), p).tolist())
+        return [list(itertools.islice(flat, 3 * size)) for _, _, size in blocks]
+    out = []
+    for s, first, _ in blocks:
+        x = xs[s]
+        keep = x[first]
+        got = []
+        for mul, _ in _MOVES:
+            x[first] = keep * mul
+            got.append(float(ratios_of(x, p)))
+        x[first] = keep
+        out.append(got)
+    return out
+
+
 def constant_probe(
     inequality: str,
     p: float,
@@ -520,10 +572,33 @@ def constant_probe(
     """Empirical lower bound for an analysis/synthesis constant.
 
     Random complex starts evaluated in a batch, then coordinate sign/phase
-    ascent (multiplying one coordinate by -1 or +-i) from the 4 best starts
-    until no single-coordinate change improves the ratio, at most 16 passes
-    each.  The observed maximum only ever grows, and the best witness is
-    stored.
+    ascent from the 4 best starts: at each coordinate in turn the moves
+    ``x_i -> -x_i``, then ``i x_i``, then ``-i x_i`` (each relative to the
+    value kept so far) are tried, and a move is kept when it raises the ratio
+    by more than a relative 1e-14.  A start stops after a pass with no kept
+    move, or after 16 passes.  The observed maximum only ever grows, and the
+    best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` is
+    refused before drawing.
+
+    The starts advance in lockstep, each with its own coordinate, pass count
+    and improvement flag.  Each round, every active start contributes a
+    speculative block of upcoming coordinates, three candidate rows per
+    coordinate (``x_i`` replaced by ``-x_i``, ``i x_i`` and ``-i x_i``), and
+    all rows of all starts go through one ``ratios_of`` call.  The
+    ``-1, +i, -i`` sweep only ever visits the four phases ``x_i {1, -1, i, -i}``
+    and the ratio at phase 1 is the current one, so each start replays the
+    sweep in order from the precomputed ratios.  At the first coordinate
+    with a kept move it applies the move and drops the rest of its block
+    (those rows were evaluated against the old vector); its next block
+    starts at the following coordinate with one coordinate, and a block
+    without a kept move doubles the next, up to ``4 * PROBE_BATCH_MAX_DIM //
+    2**m`` coordinates.  Above ``PROBE_BATCH_MAX_DIM`` a block is one
+    coordinate and each candidate is evaluated on its own.
+
+    Every row evaluated is a vector the one-candidate-at-a-time loop would
+    evaluate, and a batch row of ``fwht`` and ``pnorm`` is bit for bit the
+    row on its own, so ``best_ratio`` and the witness bytes are those of that
+    loop whatever the block sizes.
     """
     if inequality == "hy":
         p = hy_exponent(p)
@@ -538,34 +613,62 @@ def constant_probe(
 
     m = res.m
     dim = res.dim
+    if trials * dim > MAX_PROBE_ELEMS:
+        raise ValueError(
+            f"probe batch of {trials} trials x 2**{m} cells = {trials * dim} elements "
+            f"exceeds {MAX_PROBE_ELEMS} (2**26): at about 56 B per element it would "
+            f"need {56 * trials * dim / 1e9:.1f} GB"
+        )
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     ratios = ratios_of(batch, p)
 
-    order = np.argsort(-ratios, kind="stable")[:4]
+    order = np.argsort(-ratios, kind="stable")[:_PROBE_STARTS]
     best_ratio = float(ratios[order[0]])
     best_witness = batch[order[0]].copy()
 
-    for row in order:
-        x = batch[row].copy()
-        current = float(ratios_of(x, p))
-        for _ in range(16):
-            improved = False
-            for i in range(dim):
-                keep = x[i]
-                for mul in (-1.0, 1j, -1j):
-                    x[i] = keep * mul
-                    trial = float(ratios_of(x, p))
-                    if trial > current * (1.0 + 1e-14):
-                        current = trial
-                        keep = x[i]
-                        improved = True
+    batched = dim <= PROBE_BATCH_MAX_DIM
+    cap = 4 * PROBE_BATCH_MAX_DIM // dim if batched else 1
+    xs = [batch[row].copy() for row in order]
+    current = [float(ratios[row]) for row in order]
+    n = len(xs)
+    pos, passes, size = [0] * n, [0] * n, [1] * n
+    improved = [False] * n
+    active = list(range(n))
+    while active:
+        blocks = [(s, pos[s], min(size[s], dim - pos[s])) for s in active]
+        for (s, first, width), cand in zip(blocks, _candidate_ratios(ratios_of, p, xs, blocks, batched)):
+            x = xs[s]
+            kept = False
+            for j in range(width):
+                i = first + j
+                # Ratio at x_i times i**turns; turn 0 is the vector as it stands.
+                by_turns = (current[s], cand[3 * j + 1], cand[3 * j], cand[3 * j + 2])
+                keep, turns = x[i], 0
+                for mul, quarter in _MOVES:
+                    trial = by_turns[(turns + quarter) % 4]
+                    if trial > current[s] * (1.0 + 1e-14):
+                        current[s] = trial
+                        keep = keep * mul
+                        turns = (turns + quarter) % 4
+                        kept = True
                 x[i] = keep
-            if not improved:
-                break
-        if current > best_ratio:
-            best_ratio = current
-            best_witness = x.copy()
+                if kept:
+                    break
+            pos[s] = i + 1
+            size[s] = 1 if kept else min(2 * size[s], cap)
+            improved[s] |= kept
+            if pos[s] == dim:
+                passes[s] += 1
+                pos[s] = 0
+                if not improved[s] or passes[s] == _PROBE_PASSES:
+                    active.remove(s)
+                improved[s] = False
+
+    for s in range(n):
+        if current[s] > best_ratio:
+            best_ratio = current[s]
+            best_witness = xs[s]
 
     return ConstantProbe(
         inequality=inequality,

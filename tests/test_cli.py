@@ -193,6 +193,19 @@ def test_probe_constants_row(capsys):
     assert len(fields[6]) == 64  # sha256 hex
 
 
+def test_probe_constants_refuses_batches_that_cannot_fit_in_memory(capsys, tmp_path):
+    out_file = tmp_path / "probe.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "16",
+        "--out", str(out_file),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: probe batch of 10000 trials x 2**16 cells")
+    assert "36.7 GB" in err
+    assert not out_file.exists()
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walsh_lab import (
@@ -27,8 +27,10 @@ from walsh_lab import (
     resolvent_symbol,
     tail_norm,
 )
+from walsh_lab.dyadic import fwht
+from walsh_lab.metrics import hy_exponent, hy_ratios, synthesis_exponent, synthesis_ratios
 from walsh_lab.multiplier import apply_diag
-from walsh_lab.opnorm import _power_lower, _row_operators
+from walsh_lab.opnorm import MAX_PROBE_ELEMS, _power_lower, _row_operators
 
 INF = math.inf
 
@@ -374,3 +376,115 @@ def test_probe_validation():
         constant_probe("synthesis", 2.0, Resolution(4))
     with pytest.raises(ValueError):
         constant_probe("other", 1.5, Resolution(4))
+
+
+def test_probe_refuses_batches_that_cannot_fit_in_memory(monkeypatch):
+    module = importlib.import_module("walsh_lab.opnorm")
+    assert MAX_PROBE_ELEMS == 2**26
+
+    def no_draws(seed):
+        raise AssertionError("the refusal must come before drawing")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module.np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="36.7 GB"):
+            constant_probe("hy", 1.5, Resolution(16), trials=10000)
+        with pytest.raises(ValueError, match="3.8 GB"):
+            constant_probe("synthesis", 1.25, Resolution(10), trials=MAX_PROBE_ELEMS // 1024 + 1)
+
+    # The bound itself is admitted.
+    monkeypatch.setattr(module, "MAX_PROBE_ELEMS", 10 * 64)
+    assert constant_probe("hy", 1.5, Resolution(6), trials=10, seed=0).trials == 10
+    with pytest.raises(ValueError, match="exceeds 640"):
+        constant_probe("hy", 1.5, Resolution(6), trials=11, seed=0)
+
+
+def _constant_probe_reference(inequality, p, res, trials=10000, seed=0):
+    """The one-candidate-at-a-time ascent ``constant_probe`` replaced, verbatim
+    (one ``ratios_of`` call per candidate move); returns (best_ratio, witness)."""
+    if inequality == "hy":
+        p = hy_exponent(p)
+        ratios_of = hy_ratios
+    else:
+        p = synthesis_exponent(p)
+        ratios_of = synthesis_ratios
+
+    dim = res.dim
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
+    ratios = ratios_of(batch, p)
+
+    order = np.argsort(-ratios, kind="stable")[:4]
+    best_ratio = float(ratios[order[0]])
+    best_witness = batch[order[0]].copy()
+
+    for row in order:
+        x = batch[row].copy()
+        current = float(ratios_of(x, p))
+        for _ in range(16):
+            improved = False
+            for i in range(dim):
+                keep = x[i]
+                for mul in (-1.0, 1j, -1j):
+                    x[i] = keep * mul
+                    trial = float(ratios_of(x, p))
+                    if trial > current * (1.0 + 1e-14):
+                        current = trial
+                        keep = x[i]
+                        improved = True
+                x[i] = keep
+            if not improved:
+                break
+        if current > best_ratio:
+            best_ratio = current
+            best_witness = x.copy()
+    return best_ratio, best_witness
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("hy"), st.sampled_from([1.1, 1.25, 1.5, 1.9, 2.0])),
+        st.tuples(st.just("synthesis"), st.sampled_from([1.1, 1.25, 1.5, 1.75])),
+    ),
+    m=st.integers(0, 7),
+    trials=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    batched=st.booleans(),
+)
+# Cases where taking the best of the three candidates, instead of the
+# ``-1, +i, -i`` sweep, keeps a different phase: the ratio, or only the
+# witness (hy), comes out different.
+@example(case=("synthesis", 1.25), m=4, trials=1, seed=2, batched=True)
+@example(case=("hy", 1.5), m=2, trials=1, seed=2, batched=False)
+def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed, batched):
+    # Batched speculative blocks replay the same first-improvement sweep, so
+    # the ratio and the witness bytes are those of the reference loop; with
+    # the cutoff patched to 0 every candidate is evaluated on its own.
+    inequality, p = case
+    res = Resolution(m)
+    module = importlib.import_module("walsh_lab.opnorm")
+    with mock.patch.object(module, "PROBE_BATCH_MAX_DIM", module.PROBE_BATCH_MAX_DIM if batched else 0):
+        probe = constant_probe(inequality, p, res, trials=trials, seed=seed)
+    ratio, witness = _constant_probe_reference(inequality, p, res, trials=trials, seed=seed)
+    assert probe.best_ratio == ratio
+    assert probe.witness.tobytes() == witness.tobytes()
+
+
+def test_probe_ascent_batches_its_transforms(monkeypatch):
+    # One transform per candidate move would make 4036 here.
+    module = importlib.import_module("walsh_lab.metrics")
+    calls = []
+
+    def counting_fwht(values):
+        calls.append(np.shape(values))
+        return fwht(values)
+
+    monkeypatch.setattr(module, "fwht", counting_fwht)
+    constant_probe("hy", 1.5, Resolution(6), trials=2000, seed=1)
+    assert calls[0] == (2000, 64)  # the random starts
+    ascent = calls[1:]
+    assert 0 < len(ascent) <= 200
+    # 4 starts x 3 rows x (4 * PROBE_BATCH_MAX_DIM / dim) coordinates, times dim
+    cap = 4 * 3 * 4 * importlib.import_module("walsh_lab.opnorm").PROBE_BATCH_MAX_DIM
+    assert max(math.prod(shape) for shape in ascent) <= cap
