@@ -78,20 +78,23 @@ GEMM_MAX_DIM = 256
 # takes about 18 ms on the VM above, so 500 steps about 9 s; each further
 # level doubles both.
 MAX_POWER_LEVELS = 12
-# The constant probes' ascent evaluates its candidate moves in batches up to
-# this dimension and one row at a time above it: a batched ``fwht`` with few
-# rows is slower per element than a single row at large dim.  One 12-row
-# ``hy_ratios`` call against 12 single-row calls, on the VM above (best of
-# 40-200 repeats), ran 7.7x faster at m = 6, 4.4x at 8, 2.05x at 10, 1.24x at
-# 11 and 0.72x at 12 (3 rows: 2.3x at 6, 1.0x at 10, 0.73x at 11, 0.54x at
-# 12).  A start's block then holds at most
-# ``4 * PROBE_BATCH_MAX_DIM // dim`` coordinates, three rows each.  Moving the
-# cutoff changes speed only, never bytes.
-PROBE_BATCH_MAX_DIM = 1024
-# ``constant_probe`` refuses ``trials * 2**m`` above this: its (trials, 2**m)
-# complex batch (16 B per element) and the temporaries of its ratios (40 B,
-# tracemalloc at m = 8, 12 and 16) peak at about 56 B per element, so 2**26
-# elements need about 3.8 GB.
+# The constant probes' ascent batches the candidates of all its starts in
+# each round; a start's block holds up to ``4 * PROBE_SPECULATION_MAX_DIM //
+# dim`` coordinates (three rows each) at or below this dimension and one
+# coordinate above it.  One 12-row ``hy_ratios`` call against 12 single-row
+# calls, on the VM above (best of 40-200 repeats), ran 7.7x faster at m = 6,
+# 4.4x at 8, 2.05x at 10, 1.24x at 11 and 0.72x at 12 (3 rows: 2.3x at 6,
+# 1.0x at 10, 0.73x at 11, 0.54x at 12), so above it speculation rows cost
+# more than the calls they save: ``constant_probe("synthesis", 1.5,
+# Resolution(11), trials=50, seed=3)`` took 62-71 s with one-coordinate blocks,
+# 82-90 s with two, and 74-83 s with one call per candidate.  The cutoff
+# changes speed only, never bytes.
+PROBE_SPECULATION_MAX_DIM = 1024
+# ``constant_probe`` refuses ``trials * 2**m`` above MAX_PROBE_ELEMS: its
+# (trials, 2**m) complex batch (16 B per element) and the temporaries of its
+# ratios (40 B, tracemalloc at m = 8, 12 and 16) peak at about
+# PROBE_BYTES_PER_ELEM, so 2**26 elements need about 3.8 GB.
+PROBE_BYTES_PER_ELEM = 56
 MAX_PROBE_ELEMS = 2**26
 _PROBE_STARTS = 4
 _PROBE_PASSES = 16
@@ -531,35 +534,19 @@ def multiplier_bound_check(
     )
 
 
-def _candidate_ratios(ratios_of, p: float, xs, blocks, batched: bool) -> list[list[float]]:
+def _candidate_ratios(ratios_of, p: float, xs, blocks) -> list[list[float]]:
     """Ratios of the three moves ``x_i -> -x_i, i x_i, -i x_i`` at every
-    coordinate of every block ``(start, first, size)``, flattened per block as
-    ``[-1, +i, -i]`` per coordinate.
-
-    ``batched``: one ``ratios_of`` call over all rows.  Otherwise each block
-    is one coordinate, each candidate is written into the vector in place and
-    evaluated on its own, and the coordinate is restored.
+    coordinate of every block ``(start, first, size)``, from one ``ratios_of``
+    call over all rows, flattened per block as ``[-1, +i, -i]`` per coordinate.
     """
-    if batched:
-        parts = []
-        for s, first, size in blocks:
-            rows = np.repeat(xs[s][None], 3 * size, axis=0)
-            idx = np.arange(first, first + size)
-            rows.reshape(size, 3, -1)[np.arange(size), :, idx] = xs[s][idx, None] * _MOVE_MULTIPLIERS
-            parts.append(rows)
-        flat = iter(ratios_of(np.concatenate(parts), p).tolist())
-        return [list(itertools.islice(flat, 3 * size)) for _, _, size in blocks]
-    out = []
-    for s, first, _ in blocks:
-        x = xs[s]
-        keep = x[first]
-        got = []
-        for mul, _ in _MOVES:
-            x[first] = keep * mul
-            got.append(float(ratios_of(x, p)))
-        x[first] = keep
-        out.append(got)
-    return out
+    parts = []
+    for s, first, size in blocks:
+        rows = np.repeat(xs[s][None], 3 * size, axis=0)
+        idx = np.arange(first, first + size)
+        rows.reshape(size, 3, -1)[np.arange(size), :, idx] = xs[s][idx, None] * _MOVE_MULTIPLIERS
+        parts.append(rows)
+    flat = iter(ratios_of(np.concatenate(parts), p).tolist())
+    return [list(itertools.islice(flat, 3 * size)) for _, _, size in blocks]
 
 
 def constant_probe(
@@ -591,9 +578,10 @@ def constant_probe(
     with a kept move it applies the move and drops the rest of its block
     (those rows were evaluated against the old vector); its next block
     starts at the following coordinate with one coordinate, and a block
-    without a kept move doubles the next, up to ``4 * PROBE_BATCH_MAX_DIM //
-    2**m`` coordinates.  Above ``PROBE_BATCH_MAX_DIM`` a block is one
-    coordinate and each candidate is evaluated on its own.
+    without a kept move doubles the next, up to
+    ``4 * PROBE_SPECULATION_MAX_DIM // 2**m`` coordinates.  Above
+    ``PROBE_SPECULATION_MAX_DIM`` a block is one coordinate, so a round
+    evaluates the three candidates of every active start.
 
     Every row evaluated is a vector the one-candidate-at-a-time loop would
     evaluate, and a batch row of ``fwht`` and ``pnorm`` is bit for bit the
@@ -616,8 +604,8 @@ def constant_probe(
     if trials * dim > MAX_PROBE_ELEMS:
         raise ValueError(
             f"probe batch of {trials} trials x 2**{m} cells = {trials * dim} elements "
-            f"exceeds {MAX_PROBE_ELEMS} (2**26): at about 56 B per element it would "
-            f"need {56 * trials * dim / 1e9:.1f} GB"
+            f"exceeds {MAX_PROBE_ELEMS}: at about {PROBE_BYTES_PER_ELEM} B per element "
+            f"it would need {PROBE_BYTES_PER_ELEM * trials * dim / 1e9:.1f} GB"
         )
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
@@ -627,8 +615,7 @@ def constant_probe(
     best_ratio = float(ratios[order[0]])
     best_witness = batch[order[0]].copy()
 
-    batched = dim <= PROBE_BATCH_MAX_DIM
-    cap = 4 * PROBE_BATCH_MAX_DIM // dim if batched else 1
+    cap = 4 * PROBE_SPECULATION_MAX_DIM // dim if dim <= PROBE_SPECULATION_MAX_DIM else 1
     xs = [batch[row].copy() for row in order]
     current = [float(ratios[row]) for row in order]
     n = len(xs)
@@ -637,7 +624,7 @@ def constant_probe(
     active = list(range(n))
     while active:
         blocks = [(s, pos[s], min(size[s], dim - pos[s])) for s in active]
-        for (s, first, width), cand in zip(blocks, _candidate_ratios(ratios_of, p, xs, blocks, batched)):
+        for (s, first, width), cand in zip(blocks, _candidate_ratios(ratios_of, p, xs, blocks)):
             x = xs[s]
             kept = False
             for j in range(width):

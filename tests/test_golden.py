@@ -22,6 +22,12 @@ GOLDEN = {
          "--trials", "500", "--seed", "3"],
         "c65c7d8693ac935eab452aef96dc84935fe8a5b8553a836e09a63035873fa86f",
     ),
+    # The probe ascent's blocks reach their cap of 16 coordinates at m = 8.
+    "probe-hy-m8": (
+        ["probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "8",
+         "--trials", "2000", "--seed", "5"],
+        "b2acf702b275ca2e423cd6544f10768f40033cc02d9066d5285e87a3f403823b",
+    ),
     "spectrum-grid": (
         ["spectrum-grid", "--symbol", "alternating", "--m", "6", "--p-in", "3",
          "--grid=-2,2,-1,1,5"],

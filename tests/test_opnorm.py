@@ -450,22 +450,18 @@ def _constant_probe_reference(inequality, p, res, trials=10000, seed=0):
     m=st.integers(0, 7),
     trials=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
-    batched=st.booleans(),
 )
 # Cases where taking the best of the three candidates, instead of the
 # ``-1, +i, -i`` sweep, keeps a different phase: the ratio, or only the
 # witness (hy), comes out different.
-@example(case=("synthesis", 1.25), m=4, trials=1, seed=2, batched=True)
-@example(case=("hy", 1.5), m=2, trials=1, seed=2, batched=False)
-def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed, batched):
-    # Batched speculative blocks replay the same first-improvement sweep, so
-    # the ratio and the witness bytes are those of the reference loop; with
-    # the cutoff patched to 0 every candidate is evaluated on its own.
+@example(case=("synthesis", 1.25), m=4, trials=1, seed=2)
+@example(case=("hy", 1.5), m=2, trials=1, seed=2)
+def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed):
+    # The speculative blocks replay the same first-improvement sweep, so the
+    # ratio and the witness bytes are those of the reference loop.
     inequality, p = case
     res = Resolution(m)
-    module = importlib.import_module("walsh_lab.opnorm")
-    with mock.patch.object(module, "PROBE_BATCH_MAX_DIM", module.PROBE_BATCH_MAX_DIM if batched else 0):
-        probe = constant_probe(inequality, p, res, trials=trials, seed=seed)
+    probe = constant_probe(inequality, p, res, trials=trials, seed=seed)
     ratio, witness = _constant_probe_reference(inequality, p, res, trials=trials, seed=seed)
     assert probe.best_ratio == ratio
     assert probe.witness.tobytes() == witness.tobytes()
@@ -485,6 +481,6 @@ def test_probe_ascent_batches_its_transforms(monkeypatch):
     assert calls[0] == (2000, 64)  # the random starts
     ascent = calls[1:]
     assert 0 < len(ascent) <= 200
-    # 4 starts x 3 rows x (4 * PROBE_BATCH_MAX_DIM / dim) coordinates, times dim
-    cap = 4 * 3 * 4 * importlib.import_module("walsh_lab.opnorm").PROBE_BATCH_MAX_DIM
+    # 4 starts x 3 rows x (4 * PROBE_SPECULATION_MAX_DIM / dim) coordinates, times dim
+    cap = 4 * 3 * 4 * importlib.import_module("walsh_lab.opnorm").PROBE_SPECULATION_MAX_DIM
     assert max(math.prod(shape) for shape in ascent) <= cap
