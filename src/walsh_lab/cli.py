@@ -18,13 +18,14 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dyadic import Resolution
 from .opnorm import constant_probe, opnorm
-from .spectral import SpectralQuery, compactness_report, membership
+from .spectral import SpectralQuery, compactness_report, membership_batch
 from .symbols import Symbol, symbol_from_json
 from .verify import SUITES, run_suite
 
@@ -205,21 +206,24 @@ def _sweep_spectrum_grid(args) -> tuple[list[dict], list[str]]:
     p = _parse_exponent(args.p_in)
     res = np.linspace(re_min, re_max, steps)
     ims = np.linspace(im_min, im_max, steps)
-    points = [complex(re, im) for im in ims for re in res]
-
-    def row_for(lam):
-        cert = membership(sym, SpectralQuery(lam, p=p, m=args.m, tolerance=args.tol))
-        return {
+    queries = [SpectralQuery(complex(re, im), p=p, m=args.m, tolerance=args.tol) for im in ims for re in res]
+    # One batched membership call per thread, over a contiguous chunk.
+    size = -(-len(queries) // max(1, args.threads))
+    chunks = [queries[lo : lo + size] for lo in range(0, len(queries), size)]
+    certs = [c for chunk in _map_ordered(partial(membership_batch, sym), chunks, args.threads) for c in chunk]
+    rows = [
+        {
             "family": sym.family,
             "m": args.m,
             "p": p,
-            "lambda_re": lam.real,
-            "lambda_im": lam.imag,
+            "lambda_re": cert.lam.real,
+            "lambda_im": cert.lam.imag,
             "delta": cert.delta,
             "verdict": cert.verdict,
         }
-
-    return _map_ordered(row_for, points, args.threads), GRID_HEADER
+        for cert in certs
+    ]
+    return rows, GRID_HEADER
 
 
 def _sweep_probe_constants(args) -> tuple[list[dict], list[str]]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Resolution",
@@ -170,13 +169,14 @@ def walsh_step(n: int, res: Resolution) -> StepFunction:
 def walsh_matrix(m: int) -> np.ndarray:
     """Dense Paley-ordered Walsh matrix ``H[n, i] = walsh_value(n, i)``.
 
-    Built from the Sylvester Hadamard matrix by bit-reversing the row index.
-    Refuses m > MAX_DENSE_LEVELS.
+    The Sylvester Hadamard matrix ``(-1)**popcount(r & i)`` with the row
+    index bit-reversed, as an int64 array.  Refuses m > MAX_DENSE_LEVELS.
     """
     if not 0 <= m <= MAX_DENSE_LEVELS:
         raise ValueError(f"dense Walsh matrix limited to m <= {MAX_DENSE_LEVELS}, got {m}")
-    hadamard = scipy.linalg.hadamard(1 << m, dtype=np.int64)
-    return hadamard[_bit_reversal(m), :]
+    idx = np.arange(1 << m, dtype=np.uint16)
+    parity = np.bitwise_count(idx[_bit_reversal(m), None] & idx) & 1
+    return np.subtract(1, 2 * parity, dtype=np.int64)
 
 
 def fwht(values, /) -> np.ndarray:

@@ -82,23 +82,42 @@ class MultiplierMatrix:
         return self._dense
 
 
+def compose_residuals(a_diag: np.ndarray, b_diags: np.ndarray, lams, values: np.ndarray) -> np.ndarray:
+    """Residuals of the two-sided inverse identity, one per shift.
+
+    Row r of ``b_diags`` holds ``b_n = 1/(a_n - lams[r])``.  Both
+    compositions ``b (a - lam) f`` and ``(a - lam) b f`` must reproduce the
+    cell values f; row r of the result is the larger of their two L^2
+    residuals.  The transforms of f and of ``a f`` are shared by all rows,
+    and each row is bit for bit the row computed alone.
+    """
+    dim = a_diag.shape[-1]
+    w = 2.0**-(dim.bit_length() - 1)
+    # Every operand is 2-D: a complex product whose one element comes from
+    # broadcasting a 2-D against a 1-D operand (one row at m = 0) can round
+    # differently from the same product on equal shapes.
+    a_diag = a_diag.reshape(1, dim)
+    values = values.reshape(1, dim)
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1, 1)
+    f_hat = fwht(values)
+
+    shifted = fwht(f_hat * a_diag) / dim - lams * values
+    left = apply_diag(b_diags, shifted) - values
+
+    inv = fwht(f_hat * b_diags) / dim
+    right = apply_diag(a_diag, inv) - lams * inv - values
+
+    return np.maximum(pnorm(left, 2.0, w), pnorm(right, 2.0, w))
+
+
 def compose_check(sym: Symbol, lam: complex, f: StepFunction, tolerance: float = 1e-12) -> float:
     """Residual of the two-sided inverse identity for the shifted multiplier.
 
     With ``b_n = 1/(a_n - lam)`` both compositions must reproduce f:
-    returns the larger of the two L^2 residuals.  Scales like 1/delta times
-    the rounding unit, so small certified gaps inflate it.
+    returns the larger of the two L^2 residuals (see ``compose_residuals``).
+    Scales like 1/delta times the rounding unit, so small certified gaps
+    inflate it.
     """
-    res = f.resolution
+    dim = f.resolution.dim
     b, _ = resolvent_symbol(sym, lam, tolerance)
-    a_diag = sym.values(res.dim)
-    b_diag = b.values(res.dim)
-    w = 2.0**-res.m
-
-    shifted = apply_diag(a_diag, f.values) - lam * f.values
-    left = apply_diag(b_diag, shifted) - f.values
-
-    inv = apply_diag(b_diag, f.values)
-    right = apply_diag(a_diag, inv) - lam * inv - f.values
-
-    return max(pnorm(left, 2.0, w), pnorm(right, 2.0, w))
+    return float(compose_residuals(sym.values(dim), b.values(dim)[None], [b.shift], f.values)[0])

@@ -96,6 +96,13 @@ PROBE_SPECULATION_MAX_DIM = 1024
 # PROBE_BYTES_PER_ELEM, so 2**26 elements need about 3.8 GB.
 PROBE_BYTES_PER_ELEM = 56
 MAX_PROBE_ELEMS = 2**26
+# ``constant_probe`` also refuses m above MAX_PROBE_LEVELS, whatever the
+# trial count: above PROBE_SPECULATION_MAX_DIM the ascent makes one transform
+# call per coordinate and pass, so each level about quadruples its time.
+# ``constant_probe("synthesis", 1.5, Resolution(m), trials=50, seed=3)`` took
+# 62-78 s at m = 11 and 371 s at m = 12 on the VM above; at m = 20 one pass
+# of one start alone would take days.
+MAX_PROBE_LEVELS = 12
 _PROBE_STARTS = 4
 _PROBE_PASSES = 16
 # The ascent's moves in trial order, each with the quarter turns it adds.
@@ -400,20 +407,33 @@ def opnorm(
     return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts, run.converged)
 
 
+def kernel_l1_upper(diags: np.ndarray) -> np.ndarray:
+    """Row-wise ``||k||_1`` of the kernel ``k = fwht(diag) / N``, rounded up.
+
+    This is the exact (1, 1) norm of ``opnorm``, and an upper bound for
+    every p -> p norm.  The value is raised by its rounding bound
+    (``m sum|a_n| u`` in the butterfly, ``N ||k||_1 u`` in the sum,
+    ``sum|a_n| <= N ||k||_1``); otherwise a one-signed kernel, where
+    ``||k||_1 = sup|a_n|``, can land an ulp low.  Batched over leading
+    axes, each row bit for bit the row on its own.
+    """
+    dim = diags.shape[-1]
+    m = dim.bit_length() - 1
+    value = np.maximum(pnorm(fwht(diags), 1.0, 2.0**-m), np.abs(diags).max(axis=-1))
+    return value * (1.0 + (m + 4) * dim * _EPS)
+
+
 def opnorm_upper_interpolated(sym: Symbol, res: Resolution, p: float) -> NormEstimate:
     """Upper bound ``||k||_1`` for the p -> p norm, the same for every p.
 
     ``k[i ^ j]`` is symmetric, so its endpoint norms are equal and
-    Riesz-Thorin interpolation between them gives ``||k||_1``.  The value is
-    raised by its rounding bound (``m sum|a_n| u`` in the butterfly,
-    ``N ||k||_1 u`` in the sum, ``sum|a_n| <= N ||k||_1``); otherwise a
-    one-signed kernel, where ``||k||_1 = sup|a_n|``, can land an ulp low.
+    Riesz-Thorin interpolation between them gives ``||k||_1``; see
+    ``kernel_l1_upper``.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
-    value = opnorm(sym, res, 1.0, 1.0).value
-    return NormEstimate(value * (1.0 + (res.m + 4) * res.dim * _EPS), UPPER)
+    return NormEstimate(float(kernel_l1_upper(sym.values(res.dim))), UPPER)
 
 
 def tail_norm(
@@ -564,8 +584,8 @@ def constant_probe(
     value kept so far) are tried, and a move is kept when it raises the ratio
     by more than a relative 1e-14.  A start stops after a pass with no kept
     move, or after 16 passes.  The observed maximum only ever grows, and the
-    best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` is
-    refused before drawing.
+    best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` and
+    m above ``MAX_PROBE_LEVELS`` are refused before drawing.
 
     The starts advance in lockstep, each with its own coordinate, pass count
     and improvement flag.  Each round, every active start contributes a
@@ -606,6 +626,12 @@ def constant_probe(
             f"probe batch of {trials} trials x 2**{m} cells = {trials * dim} elements "
             f"exceeds {MAX_PROBE_ELEMS}: at about {PROBE_BYTES_PER_ELEM} B per element "
             f"it would need {PROBE_BYTES_PER_ELEM * trials * dim / 1e9:.1f} GB"
+        )
+    if m > MAX_PROBE_LEVELS:
+        raise ValueError(
+            f"constant probes limited to m <= {MAX_PROBE_LEVELS}, got {m}: above "
+            f"{PROBE_SPECULATION_MAX_DIM} cells the ascent makes one transform call "
+            f"per coordinate and pass"
         )
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))

@@ -1,10 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walsh_lab
 from walsh_lab import ReciprocalSymbol, fwht, tail, verify
 from walsh_lab.cli import main
 from walsh_lab.verify import CheckResult
@@ -120,6 +124,38 @@ def test_spectrum_grid_threads_compute_bound_constant_once(capsys, monkeypatch, 
     assert calls == []
 
 
+@pytest.mark.parametrize("symbol", ["alternating", "reciprocal"])
+def test_spectrum_grid_thread_chunks_are_byte_identical(capsys, symbol):
+    # 49 shifts split into 1, 2 and 4 contiguous chunks, with spectrum points
+    # among them: -1 and 1 for alternating, 0, 1 and (within 1e-12) 1/3 for
+    # reciprocal.
+    args = ["sweep", "spectrum-grid", "--symbol", symbol, "--m", "7", "--p-in", "1.5",
+            "--grid=-1,1,-1,1,7"]
+    outs = [run_cli(capsys, *args, "--threads", t) for t in ("1", "2", "4")]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1] == outs[2][1]
+    assert len(outs[0][1].splitlines()) == 2 + 49
+    assert "in_spectrum" in outs[0][1]
+
+
+_SCIPY_MODULES = "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, walsh_lab",
+    "import sys, runpy; sys.argv = ['walsh_lab', 'sweep', 'opnorm', '--m', '2']\n"
+    "try:\n    runpy.run_module('walsh_lab', run_name='__main__')\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+])
+def test_import_and_sweep_load_no_scipy(code):
+    src = str(Path(walsh_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{_SCIPY_MODULES}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -203,6 +239,18 @@ def test_probe_constants_refuses_batches_that_cannot_fit_in_memory(capsys, tmp_p
     assert code == 2 and out == ""
     assert err.startswith("config error: probe batch of 10000 trials x 2**16 cells")
     assert "36.7 GB" in err
+    assert not out_file.exists()
+
+
+def test_probe_constants_refuses_levels_above_the_cap(capsys, tmp_path):
+    out_file = tmp_path / "probe.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "20",
+        "--trials", "1", "--out", str(out_file),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: constant probes limited to m <= 12, got 20")
     assert not out_file.exists()
 
 

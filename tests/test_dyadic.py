@@ -207,6 +207,16 @@ def test_walsh_matrix_agrees_with_walsh_value():
             assert h[n, i] == walsh_value(n, i, res)
 
 
+@pytest.mark.parametrize("m", range(13))
+def test_walsh_matrix_matches_bit_reversed_sylvester_hadamard(m):
+    import scipy.linalg
+
+    want = scipy.linalg.hadamard(1 << m, dtype=np.int64)[_bit_reversal(m)]
+    got = walsh_matrix(m)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_analysis_of_constant():
     f = StepFunction(Resolution(4), np.ones(16))
     c = analysis(f)

@@ -33,6 +33,12 @@ GOLDEN = {
          "--grid=-2,2,-1,1,5"],
         "5d979d7759478970efd38b7a34948173f956f4a16ad6aa9cffef5ad27882fa64",
     ),
+    # The batched resolvent path at m = 10; 0, 0.5 and 1 lie on the spectrum.
+    "spectrum-grid-reciprocal-m10": (
+        ["spectrum-grid", "--symbol", "reciprocal", "--m", "10", "--p-in", "2",
+         "--grid=-0.5,1.5,-1,1,5"],
+        "d3b950d2253eef6000e3cbc9186d4fa12cb9bd84dbfbf65474bbea770d69420e",
+    ),
     "tail-decay": (
         ["tail-decay", "--symbol", "reciprocal", "--m", "10", "--p-in", "1", "--p-out", "1"],
         "23e0c8ceec9da27eaca7f5295bff45c8548a38b1331365e62aeaa6bd3197ace0",

@@ -30,7 +30,7 @@ from walsh_lab import (
 from walsh_lab.dyadic import fwht
 from walsh_lab.metrics import hy_exponent, hy_ratios, synthesis_exponent, synthesis_ratios
 from walsh_lab.multiplier import apply_diag
-from walsh_lab.opnorm import MAX_PROBE_ELEMS, _power_lower, _row_operators
+from walsh_lab.opnorm import MAX_PROBE_ELEMS, MAX_PROBE_LEVELS, _power_lower, _row_operators
 
 INF = math.inf
 
@@ -484,3 +484,23 @@ def test_probe_ascent_batches_its_transforms(monkeypatch):
     # 4 starts x 3 rows x (4 * PROBE_SPECULATION_MAX_DIM / dim) coordinates, times dim
     cap = 4 * 3 * 4 * importlib.import_module("walsh_lab.opnorm").PROBE_SPECULATION_MAX_DIM
     assert max(math.prod(shape) for shape in ascent) <= cap
+
+
+def test_probe_refuses_levels_above_the_cap(monkeypatch):
+    module = importlib.import_module("walsh_lab.opnorm")
+    assert MAX_PROBE_LEVELS == 12
+
+    def no_draws(seed):
+        raise AssertionError("the refusal must come before drawing")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module.np.random, "default_rng", no_draws)
+        for m in (13, 20):
+            with pytest.raises(ValueError, match=f"m <= 12, got {m}"):
+                constant_probe("hy", 1.5, Resolution(m), trials=1)
+
+    # The cap itself is admitted.
+    monkeypatch.setattr(module, "MAX_PROBE_LEVELS", 4)
+    assert constant_probe("synthesis", 1.25, Resolution(4), trials=3, seed=0).m == 4
+    with pytest.raises(ValueError, match="m <= 4, got 5"):
+        constant_probe("synthesis", 1.25, Resolution(5), trials=3, seed=0)

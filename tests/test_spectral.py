@@ -1,21 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walsh_lab import (
     AlternatingSymbol,
     ConstantSymbol,
+    ExplicitSymbol,
     GeometricSymbol,
     ReciprocalSymbol,
     Resolution,
     SpectralQuery,
+    StepFunction,
     UnitDiracSymbol,
+    apply_diag,
     compactness_report,
     membership,
+    membership_batch,
     opnorm,
+    pnorm,
     point_spectrum,
     random_explicit_symbol,
     resolvent_norm_l2,
@@ -23,8 +29,19 @@ from walsh_lab import (
     riesz_schauder_check,
     separation_distance,
     spectral_report,
+    walsh_step,
 )
-from walsh_lab.spectral import IN_RESOLVENT, IN_SPECTRUM
+from walsh_lab import spectral
+from walsh_lab.spectral import (
+    _MAX_WITNESSES,
+    _WITNESS_SCAN,
+    IN_RESOLVENT,
+    IN_SPECTRUM,
+    UNDETERMINED,
+    MembershipCertificate,
+)
+
+_EPS = np.finfo(np.float64).eps
 
 
 def test_point_spectrum_constant():
@@ -226,3 +243,150 @@ def test_spectral_report_serializes():
     assert doc2["compactness"] == "not_compact"
     assert doc2["accumulation_check"] == "n/a"
     assert doc2["resolvent_norm_l2"] is None  # infinite resolvent norm
+
+
+# The one-shift-at-a-time membership that ``membership_batch`` replaced,
+# with the composition check and the kernel bound it called inlined as they
+# were: the byte reference for the batched path.
+def _compose_check_reference(sym, lam, f, tolerance=1e-12):
+    res = f.resolution
+    b, _ = resolvent_symbol(sym, lam, tolerance)
+    a_diag = sym.values(res.dim)
+    b_diag = b.values(res.dim)
+    w = 2.0**-res.m
+
+    shifted = apply_diag(a_diag, f.values) - lam * f.values
+    left = apply_diag(b_diag, shifted) - f.values
+
+    inv = apply_diag(b_diag, f.values)
+    right = apply_diag(a_diag, inv) - lam * inv - f.values
+
+    return max(pnorm(left, 2.0, w), pnorm(right, 2.0, w))
+
+
+def _opnorm_upper_interpolated_reference(sym, res, p):
+    value = opnorm(sym, res, 1.0, 1.0).value
+    return value * (1.0 + (res.m + 4) * res.dim * _EPS)
+
+
+def _membership_reference(sym, query):
+    lam = complex(query.lam)
+    res = Resolution(query.m)
+    delta = sym.closure_distance(lam)
+
+    if delta > query.tolerance:
+        b, delta = resolvent_symbol(sym, lam, query.tolerance)
+        rng = np.random.default_rng(7)
+        f = StepFunction(
+            res, rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim)
+        )
+        residual = _compose_check_reference(sym, lam, f, query.tolerance)
+        lp_upper = None
+        if query.p != 2.0:
+            lp_upper = _opnorm_upper_interpolated_reference(b, res, query.p)
+        # Residual scales like 1/delta; anything far beyond that means the
+        # certificate did not actually invert the operator.
+        verdict = IN_RESOLVENT
+        if residual > 1e-6 * max(1.0, 1.0 / delta):
+            verdict = UNDETERMINED
+        return MembershipCertificate(
+            verdict=verdict,
+            lam=lam,
+            p=query.p,
+            delta=delta,
+            resolvent=b,
+            compose_residual=residual,
+            lp_upper=lp_upper,
+        )
+
+    gaps = np.abs(sym.values(_WITNESS_SCAN) - lam)
+    running = np.minimum.accumulate(gaps)
+    improving = np.flatnonzero(gaps <= running)
+    strict = [int(improving[0])]
+    for n in improving[1:]:
+        if gaps[n] < gaps[strict[-1]]:
+            strict.append(int(n))
+    picks = strict[-_MAX_WITNESSES:]
+    verified: list[float] = []
+    for n in picks:
+        if n < res.dim:
+            residual_fn = apply_diag(sym.values(res.dim), walsh_step(n, res).values)
+            residual_fn -= lam * walsh_step(n, res).values
+            verified.append(pnorm(residual_fn, query.p, 2.0**-res.m))
+        else:
+            verified.append(float(gaps[n]))
+    return MembershipCertificate(
+        verdict=IN_SPECTRUM,
+        lam=lam,
+        p=query.p,
+        delta=delta,
+        witness_indices=picks,
+        witness_gaps=verified,
+    )
+
+
+# Each family with shifts on its spectrum: values, accumulation points.
+_GRID_FAMILIES = {
+    "reciprocal": (ReciprocalSymbol, [0.0, 1.0, 0.5, 0.25]),
+    "alternating": (AlternatingSymbol, [1.0, -1.0]),
+    "geometric": (lambda: GeometricSymbol(0.6 + 0.3j), [0.0, 1.0, 0.6 + 0.3j]),
+    "explicit": (lambda: ExplicitSymbol([2.0, -0.5j, 1 + 1j], "zero"), [0.0, 2.0, -0.5j]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_GRID_FAMILIES)),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    m=st.integers(0, 8),
+    re=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    im=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    hits=st.lists(st.integers(0, 3), max_size=3),
+    rows=st.sampled_from([1, 3, None]),
+)
+# One row at m = 0: broadcasting a 1-D operand against it rounded a product
+# differently from the 1-D computation.
+@example(family="alternating", p=1.5, m=0, re=[0.5625], im=[1.0], hits=[], rows=1)
+def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits, rows):
+    make, spectrum = _GRID_FAMILIES[family]
+    sym = make()
+    lams = [complex(x, y) for y in im for x in re] + [spectrum[k % len(spectrum)] for k in hits]
+    queries = [SpectralQuery(lam, p=p, m=m) for lam in lams]
+    # Blocks of ``rows`` shifts (None: the default block size).
+    elems = spectral._BATCH_ELEMS if rows is None else rows << m
+    with mock.patch.object(spectral, "_BATCH_ELEMS", elems):
+        got = membership_batch(sym, queries)
+    assert len(got) == len(queries)
+    for cert, query in zip(got, queries):
+        want = _membership_reference(sym, query)
+        for name in ("verdict", "lam", "p", "delta", "compose_residual", "lp_upper",
+                     "witness_indices", "witness_gaps"):
+            assert getattr(cert, name) == getattr(want, name), name
+        if want.resolvent is None:
+            assert cert.resolvent is None
+        else:
+            assert (cert.resolvent.base, cert.resolvent.shift, cert.resolvent.delta) == (
+                want.resolvent.base, want.resolvent.shift, want.resolvent.delta)
+
+
+def test_membership_batch_covers_both_branches_at_m8():
+    sym = AlternatingSymbol()
+    queries = [SpectralQuery(lam, p=3.0, m=8) for lam in (1.0, 0.5j, -1.0, 2.0)]
+    got = membership_batch(sym, queries)
+    assert [c.verdict for c in got] == [IN_SPECTRUM, IN_RESOLVENT, IN_SPECTRUM, IN_RESOLVENT]
+    for cert, query in zip(got, queries):
+        want = _membership_reference(sym, query)
+        assert (cert.delta, cert.compose_residual, cert.lp_upper, cert.witness_gaps) == (
+            want.delta, want.compose_residual, want.lp_upper, want.witness_gaps)
+
+
+def test_membership_batch_refuses_mixed_resolutions():
+    assert membership_batch(ReciprocalSymbol(), []) == []
+    with pytest.raises(ValueError, match="one resolution"):
+        membership_batch(ReciprocalSymbol(), [SpectralQuery(2.0, m=4), SpectralQuery(2.0, m=5)])
+
+
+def test_spectral_query_refuses_bad_exponents():
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="exponent"):
+            SpectralQuery(2.0, p=p)
