@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import MAX_DENSE_LEVELS, Resolution, walsh_step
+from .dyadic import Resolution, walsh_step
 from .metrics import pnorm
 from .multiplier import apply_diag, compose_residuals
 from .opnorm import NormEstimate, kernel_l1_upper, tail_norm
@@ -36,6 +36,10 @@ _MAX_WITNESSES = 12
 # 21 x 21 grid took 141-145 ms with this size, 161-176 ms with 2**16 and
 # 220-234 ms with 2**17 (180-198 ms with 2**13); blocks change speed only.
 _BATCH_ELEMS = 1 << 15
+# ``point_spectrum`` applies the multiplier to every Walsh function, which
+# is O(N^2 log N): 0.8 s at m = 11 and 3.9 s at m = 12 on that VM, and each
+# further level about quadruples it.
+MAX_POINT_SPECTRUM_LEVELS = 12
 
 IN_SPECTRUM = "in_spectrum"
 IN_RESOLVENT = "in_resolvent"
@@ -143,11 +147,11 @@ def point_spectrum(sym: Symbol, res: Resolution):
     The eigen-identity is verified exactly: applying the multiplier to a
     Walsh function involves only sums of a single nonzero coefficient, so
     the cell values come out bit-for-bit equal to ``a_n * W_n``.  Checking
-    all 2**m eigenpairs costs O(N^2 log N), so m > MAX_DENSE_LEVELS is
-    refused.
+    all 2**m eigenpairs costs O(N^2 log N), so m > MAX_POINT_SPECTRUM_LEVELS
+    is refused.
     """
-    if res.m > MAX_DENSE_LEVELS:
-        raise ValueError(f"point spectrum limited to m <= {MAX_DENSE_LEVELS}, got {res.m}")
+    if res.m > MAX_POINT_SPECTRUM_LEVELS:
+        raise ValueError(f"point spectrum limited to m <= {MAX_POINT_SPECTRUM_LEVELS}, got {res.m}")
     dim = res.dim
     diag = sym.values(dim)
     pairs = []

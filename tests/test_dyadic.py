@@ -17,6 +17,7 @@ from walsh_lab import (
     walsh_step,
     walsh_value,
 )
+from walsh_lab import dyadic
 from walsh_lab.dyadic import _bit_reversal
 
 
@@ -110,17 +111,40 @@ def _draw(rng, dtype, shape):
     return x.astype(dtype)
 
 
+def _assert_fwht_matches_reference(x):
+    before = x.copy()
+    out = fwht(x)
+    ref = _fwht_radix2_reference(x)
+    assert out.shape == x.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+    if x.shape[-1] > 1:
+        # The layout is pinned too: a transposed (N, rows) buffer.
+        assert out.strides == ref.strides
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(0, 12),
     dtype=st.sampled_from([np.bool_, np.uint8, np.int64, np.float32, np.float64, np.complex128]),
     lead=st.sampled_from([(), (3,), (2, 3), (0,)]),
     layout=st.sampled_from(["C", "F", "strided", "readonly"]),
+    tile_log2=st.integers(0, dyadic.FWHT_TILE_BYTES.bit_length() - 1),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=0, dtype=np.float64, lead=(), layout="C", seed=0)
-@example(m=0, dtype=np.int64, lead=(3,), layout="readonly", seed=0)
-def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, seed):
+@example(m=0, dtype=np.float64, lead=(), layout="C", tile_log2=19, seed=0)
+@example(m=0, dtype=np.int64, lead=(3,), layout="readonly", tile_log2=19, seed=0)
+# Split s = m: every stage streams the whole buffer, no block loop.
+@example(m=12, dtype=np.complex128, lead=(2, 3), layout="C", tile_log2=0, seed=0)
+@example(m=9, dtype=np.uint8, lead=(3,), layout="F", tile_log2=4, seed=0)
+# Splits inside the range, one of them with a cast on the first read.
+@example(m=12, dtype=np.complex128, lead=(2, 3), layout="C", tile_log2=12, seed=0)
+@example(m=11, dtype=np.float32, lead=(), layout="strided", tile_log2=7, seed=0)
+def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, tile_log2, seed):
+    # The tile size sets the split s at which blocks of ``N >> s`` cells run
+    # their remaining stages alone; from one byte up to the default it
+    # reaches every s in 0..m.
     rng = np.random.default_rng(seed)
     n = 1 << m
     if layout == "strided":
@@ -131,16 +155,16 @@ def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, seed):
         x = np.asfortranarray(x)
     elif layout == "readonly":
         x.flags.writeable = False
-    before = x.copy()
-    out = fwht(x)
-    ref = _fwht_radix2_reference(x)
-    assert out.shape == x.shape and out.dtype == ref.dtype
-    assert out.tobytes() == ref.tobytes()
-    if m:
-        # The layout is pinned too: a transposed (N, rows) buffer.
-        assert out.strides == ref.strides
-    assert x.tobytes() == before.tobytes()
-    assert not np.shares_memory(out, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "FWHT_TILE_BYTES", 1 << tile_log2)
+        _assert_fwht_matches_reference(x)
+
+
+@pytest.mark.parametrize("shape", [(1 << 20,), (64, 1 << 14)])
+def test_fwht_bytes_match_radix2_reference_past_one_tile(shape):
+    # 16 MB of complex128: the default tile splits these transforms.
+    rng = np.random.default_rng(21)
+    _assert_fwht_matches_reference(_draw(rng, np.complex128, shape))
 
 
 def test_fwht_twice_is_exactly_n_times_identity_at_m20():
@@ -200,11 +224,21 @@ def test_fwht_empty_batch_keeps_shape_and_dtype(dtype):
 
 
 def test_walsh_matrix_agrees_with_walsh_value():
-    res = Resolution(4)
-    h = walsh_matrix(4)
-    for n in range(16):
-        for i in range(16):
-            assert h[n, i] == walsh_value(n, i, res)
+    for m in range(9):
+        res = Resolution(m)
+        got = [[walsh_value(n, i, res) for i in range(res.dim)] for n in range(res.dim)]
+        assert np.array_equal(walsh_matrix(m), got)
+
+
+def test_walsh_value_builds_no_bit_reversal_table():
+    cached = _bit_reversal.cache_info().currsize
+    res = Resolution(26)
+    cell = 0b11 << 24 | 1
+    assert walsh_value(1, cell, res) == -1  # r_0 reads the top bit of the cell
+    assert walsh_value(2, cell, res) == -1
+    assert walsh_value(4, cell, res) == 1
+    assert walsh_value(1 << 25, cell, res) == -1  # r_25 reads the bottom bit
+    assert _bit_reversal.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("m", range(13))
