@@ -2,11 +2,12 @@
 
 Exact norms where the structure allows (p_in >= 2 >= p_out, where the norm
 is sup|a_n|, and an L^1 domain or L^inf range, where it is an L^r norm of the
-dyadic convolution kernel K = fwht(a)), ascent lower bounds elsewhere, the
-kernel upper bound ||k||_1 (k = K / 2**m) for every p -> p norm,
-adjoint symmetry, and empirical probes of the analysis/synthesis constants.
-The analysis ratio never exceeds 1; the synthesis ratio grows with
-resolution, and the probe reports that growth without asserting any ceiling.
+dyadic convolution kernel K = fwht(a)), ascent lower bounds elsewhere, a
+certified upper bound (hypercontractive, or ||k||_1 with k = K / 2**m when
+p_out <= p_in), adjoint symmetry, and empirical probes of the
+analysis/synthesis constants.  The analysis ratio never exceeds 1; the
+synthesis ratio grows with resolution, and the probe reports that growth
+without asserting any ceiling.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from walsh_lab import (
     constant_probe,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper_interpolated,
+    opnorm_upper,
     random_explicit_symbol,
 )
 
@@ -30,12 +31,12 @@ for p, q in ((1.0, 1.0), (2.0, 2.0), (np.inf, np.inf), (1.0, 3.0), (1.5, np.inf)
     est = opnorm(ReciprocalSymbol(), res, p, q)
     print(f"  {p} -> {q}: {est.value:.9f}  [{est.kind}]")
 
-print("\nAscent lower bounds vs the kernel upper bound ||k||_1 (random symbol):")
+print("\nAscent lower bounds vs the certified upper bound (random symbol):")
 sym = random_explicit_symbol(rng, 64)
 sup = np.abs(sym.values(64)).max()
 for p in (1.5, 3.0):
     lo = opnorm(sym, res, p, p)
-    hi = opnorm_upper_interpolated(sym, res, p)
+    hi = opnorm_upper(sym, res, p, p)
     print(f"  p={p}: sup|a|={sup:.6f}  lower={lo.value:.9f} ({lo.iterations} iters)"
           f"  upper={hi.value:.9f}")
 

@@ -161,18 +161,28 @@ def walsh_value(n: int, cell: int, res: Resolution) -> int:
         raise ValueError(f"Walsh index {n} out of range for m = {m} (need n < {res.dim})")
     if not 0 <= cell < res.dim:
         raise ValueError(f"cell index {cell} out of range for m = {m}")
+    return -1 if (n & _reverse_bits(cell, m)).bit_count() & 1 else 1
+
+
+def _reverse_bits(x: int, m: int) -> int:
+    """x with its m binary digits reversed."""
     rev = 0
     for _ in range(m):
-        rev = (rev << 1) | (cell & 1)
-        cell >>= 1
-    return -1 if (n & rev).bit_count() & 1 else 1
+        rev = (rev << 1) | (x & 1)
+        x >>= 1
+    return rev
 
 
 def walsh_step(n: int, res: Resolution) -> StepFunction:
-    """Step form of W_n at the given resolution (all cells at once)."""
+    """Step form of W_n at the given resolution (all cells at once).
+
+    ``popcount(n & rev(i)) = popcount(rev(n) & i)``, so reversing the one
+    index n takes the place of a table of every cell's reversal.
+    """
     if not 0 <= n < res.dim:
         raise ValueError(f"Walsh index {n} out of range for m = {res.m}")
-    parity = np.bitwise_count(np.bitwise_and(np.int64(n), _bit_reversal(res.m))) & 1
+    cells = np.arange(res.dim, dtype=np.int64)
+    parity = np.bitwise_count(np.bitwise_and(np.int64(_reverse_bits(n, res.m)), cells)) & 1
     return StepFunction(res, 1.0 - 2.0 * parity)
 
 

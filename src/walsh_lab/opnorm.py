@@ -5,7 +5,7 @@ Exact paths:
 * p_in >= 2 >= p_out: the norm is ``sup |a_n|``.  ``T W_n = a_n W_n`` with
   ``||W_n||_r = 1`` gives it from below; from above,
   ``||Tf||_q <= ||Tf||_2 <= sup|a| ||f||_2 <= sup|a| ||f||_p`` because [0, 1)
-  is a probability space.  At (2, 2) the value is cross-checked by iteration.
+  is a probability space.  No iteration runs, (2, 2) included.
 * p_in = 1 or p_out = inf: T is dyadic convolution with the kernel
   ``K = sum_n a_n W_n`` (cell values ``fwht(a)``), so
   ``||T||_{1 -> q} = ||K||_{L^q}`` and ``||T||_{p -> inf} = ||K||_{L^{p'}}``.
@@ -22,8 +22,26 @@ against the cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above
 it, the fast-transform pair.  That matrix commutes with every translation
 ``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
 translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
-``||k||_1`` is also an upper bound for every p -> p norm (Riesz-Thorin
-between the equal endpoint norms).
+
+Certified upper bounds (``certified_upper``, rounded up):
+
+* Bonami-Beckner hypercontractivity (Bonami 1970; Beckner, Ann. Math. 102,
+  1975).  The noise operator ``T_rho W_n = rho**|n| W_n``, ``|n|`` the
+  popcount, maps L^p into L^2 with norm 1 for ``rho <= sqrt(p - 1)`` and
+  L^2 into L^q with norm 1 for ``rho <= 1 / sqrt(q - 1)``.  Factoring
+  ``T_a = T_rho_out T_b T_rho_in`` through L^2 gives
+  ``||T_a||_{p -> q} <= max_n |a_n| ((max(q, 2) - 1) / (min(p, 2) - 1))**(|n|/2)``
+  for ``1 < p <= inf``, ``1 <= q < inf``.  Complex inputs are covered:
+  ``T_rho`` has a nonnegative kernel, so ``|T_rho f| <= T_rho |f|``.  On
+  ``1/(n+1)`` at (1.5, 3), (1.5, 1.5) and (3, 3) the bound is 1, the norm,
+  since ``n + 1 >= 2**|n|``.
+* ``||k||_1``, the (1, 1) and (inf, inf) norm, bounds every p -> p norm
+  (Riesz-Thorin between the equal endpoint norms), and so every p -> q norm
+  with q <= p (monotonicity of L^q norms on a probability space).
+
+The power loop ends once its best start has stopped and its ratio meets the
+certified upper bound to within ``tol``: the bracket is closed, and no other
+start can raise the value by more than ``tol``.
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -266,11 +284,18 @@ def _power_lower(
 ) -> _PowerResult:
     """Dual power iteration for the L^{p_in} -> L^{p_out} norm, all starts batched.
 
-    Per start the ratio ||T x_k|| / ||x_k|| is nondecreasing in k; iteration
+    Per start the ratio ||T x_k|| / ||x_k|| is nondecreasing in k; a start
     stops when its relative change drops below ``tol``.  The reduction over
     starts is a max with ties resolved by the lowest start index;
     ``converged`` says whether that start stopped on ``tol`` or as a zero row
     rather than at ``max_iter``.
+
+    The whole loop ends after a step in which the best start has stopped and
+    its ratio is at least ``certified_upper(...) * (1 - tol)``; every other
+    start keeps the ratio it has reached.  A start can only stop on ``tol``
+    from step 1 on, so this never ends a run at step 0.  The best start alone
+    decides: dropping the other starts from the batch early would change the
+    rounding of the matrix products of those that remain.
     """
     if m > MAX_POWER_LEVELS:
         raise ValueError(
@@ -280,6 +305,7 @@ def _power_lower(
     w = 2.0**-m
     q_dual = dual_exponent(p_in)
     forward, adjoint = _row_operators(diag)
+    closes_at = certified_upper(diag, m, p_in, p_out) * (1.0 - tol)
 
     x = _start_matrix(diag, m, random_starts, seed, extra_starts)
     norms = pnorm(x, p_in, w)
@@ -324,6 +350,9 @@ def _power_lower(
         dead = g == 0
         done = dead | ((step > 0) & (rel <= tol))
         active[idx[done]] = False
+        best = int(np.argmax(gamma))
+        if not active[best] and gamma[best] >= closes_at:
+            break
         still = idx[~done]
         if still.size == 0:
             continue
@@ -349,6 +378,24 @@ def _power_lower(
     )
 
 
+def _exponents(p_in, p_out) -> tuple[float, float]:
+    for p in (p_in, p_out):
+        if math.isnan(float(p)) or float(p) < 1.0:
+            raise ValueError(f"exponents must lie in [1, inf], got {p}")
+    return float(p_in), float(p_out)
+
+
+def _exact_norm(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float | None:
+    """The norm on the exact paths of the module docstring, else None."""
+    sup = float(np.abs(diag).max())
+    if p_in >= 2.0 >= p_out:
+        return sup
+    if p_in == 1.0 or p_out == INF:
+        r = p_out if p_in == 1.0 else dual_exponent(p_in)
+        return max(pnorm(fwht(diag), r, 2.0**-m), sup)
+    return None
+
+
 def opnorm(
     sym: Symbol,
     res: Resolution,
@@ -363,47 +410,21 @@ def opnorm(
 
     Paths:
 
-    * ``p_in = p_out = 2``: exact, ``max |a_n|``, cross-checked against the
-      iterative estimator when m <= 10.
-    * ``p_in >= 2 >= p_out`` otherwise: exact, ``max |a_n|`` in closed form,
-      no iteration (see the module docstring for the two-line proof).
+    * ``p_in >= 2 >= p_out``, (2, 2) included: exact, ``max |a_n|`` in closed
+      form, no iteration (see the module docstring for the two-line proof).
     * ``p_in = 1`` or ``p_out = inf``: exact, ``||K||_{L^r}`` of the kernel
       ``K = fwht(a)`` with ``r = p_out`` if ``p_in = 1``, else ``r = p_in'``
       (the dual exponent), raised to ``max |a_n|`` if rounding left it below;
       O(N log N) at every m.
-    * anything else: iterative lower bound (see ``_power_lower``), m <= 12.
+    * anything else: iterative lower bound (see ``_power_lower``), m <= 12;
+      ``opnorm_upper`` gives the certified upper end of the bracket.
     """
-    for p in (p_in, p_out):
-        if math.isnan(float(p)) or float(p) < 1.0:
-            raise ValueError(f"exponents must lie in [1, inf], got {p}")
-    p_in = float(p_in)
-    p_out = float(p_out)
-    m = res.m
+    p_in, p_out = _exponents(p_in, p_out)
     diag = sym.values(res.dim)
-    sup = float(np.abs(diag).max())
-
-    if p_in == p_out == 2.0:
-        iters = 0
-        if m <= 10:
-            run = _power_lower(
-                diag, m, 2.0, 2.0,
-                seed=seed, random_starts=4, tol=tol, max_iter=200,
-            )
-            if abs(run.value - sup) > 1e-8 * max(1.0, sup):
-                raise RuntimeError(
-                    f"p=2 exact norm {sup} and power iteration {run.value} disagree"
-                )
-            iters = run.iterations
-        return NormEstimate(sup, EXACT, iterations=iters, residual=0.0, starts=0)
-
-    if p_in >= 2.0 >= p_out:
-        return NormEstimate(sup, EXACT)
-
-    if p_in == 1.0 or p_out == INF:
-        r = p_out if p_in == 1.0 else dual_exponent(p_in)
-        return NormEstimate(max(pnorm(fwht(diag), r, 2.0**-m), sup), EXACT)
-
-    run = _power_lower(diag, m, p_in, p_out, seed=seed, tol=tol)
+    exact = _exact_norm(diag, res.m, p_in, p_out)
+    if exact is not None:
+        return NormEstimate(exact, EXACT)
+    run = _power_lower(diag, res.m, p_in, p_out, seed=seed, tol=tol)
     return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts, run.converged)
 
 
@@ -423,17 +444,39 @@ def kernel_l1_upper(diags: np.ndarray) -> np.ndarray:
     return value * (1.0 + (m + 4) * dim * _EPS)
 
 
-def opnorm_upper_interpolated(sym: Symbol, res: Resolution, p: float) -> NormEstimate:
-    """Upper bound ``||k||_1`` for the p -> p norm, the same for every p.
+def certified_upper(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float:
+    """Upper bound for the L^{p_in} -> L^{p_out} norm, rounded up.
 
-    ``k[i ^ j]`` is symmetric, so its endpoint norms are equal and
-    Riesz-Thorin interpolation between them gives ``||k||_1``; see
-    ``kernel_l1_upper``.
+    The smaller of the hypercontractive bound of the module docstring (O(N);
+    infinite for ``p_in = 1`` or ``p_out = inf``) and, when ``p_out <= p_in``,
+    ``kernel_l1_upper`` (O(N log N)).  The hypercontractive bound is raised by
+    its rounding bound: ``max(q, 2) - 1``, the quotient, the square root, the
+    power (at most the m-th, one ulp) and ``|a_n|`` leave a relative error of
+    at most ``(m + 2.5) eps``.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"exponent must lie in [1, inf], got {p}")
-    return NormEstimate(float(kernel_l1_upper(sym.values(res.dim))), UPPER)
+    upper = INF
+    if p_in > 1.0 and p_out < INF:
+        growth = math.sqrt((max(p_out, 2.0) - 1.0) / (min(p_in, 2.0) - 1.0))
+        weights = growth ** np.arange(m + 1, dtype=np.float64)
+        mags = np.abs(diag)
+        weighted = mags * weights[np.bitwise_count(np.arange(diag.shape[-1]))]
+        upper = float(np.max(weighted, where=mags > 0, initial=0.0)) * (1.0 + (m + 4) * _EPS)
+    if p_out <= p_in:
+        upper = min(upper, float(kernel_l1_upper(diag)))
+    return float(upper)
+
+
+def opnorm_upper(sym: Symbol, res: Resolution, p_in: float, p_out: float) -> NormEstimate:
+    """Upper end of the ``opnorm`` bracket: the exact value on its exact
+    paths, else the ``certified_upper`` bound its power loop stops on, tagged
+    ``upper``.  O(N log N) at every m.
+    """
+    p_in, p_out = _exponents(p_in, p_out)
+    diag = sym.values(res.dim)
+    exact = _exact_norm(diag, res.m, p_in, p_out)
+    if exact is not None:
+        return NormEstimate(exact, EXACT)
+    return NormEstimate(certified_upper(diag, res.m, p_in, p_out), UPPER)
 
 
 def tail_norm(

@@ -15,6 +15,7 @@ import numpy as np
 from . import dyadic, multiplier, spectral
 from .dyadic import Resolution, StepFunction, analysis, coeff_vector, fwht, walsh_step
 from .metrics import hy_ratio, lp_norm, lq_norm, synthesis_ratio, walsh_distance
+from .opnorm import DEFAULT_TOL, opnorm, opnorm_upper
 from .symbols import (
     AlternatingSymbol,
     ConstantSymbol,
@@ -215,6 +216,23 @@ def multiplier_checks(seed: int = 0) -> list[CheckResult]:
     both = multiplier.apply(truncate(rec, 10), f8).values + multiplier.apply(tail(rec, 10), f8).values
     gap = np.abs(both - multiplier.apply(rec, f8).values).max()
     out.append(CheckResult("truncation + tail = identity decomposition", gap < 1e-12, f"max err = {gap:.2e}"))
+
+    worst = 0.0
+    closed = cases = 0
+    for sym2 in _family_zoo():
+        for p_in, p_out in ((1.5, 3.0), (1.5, 1.5), (3.0, 3.0), (1.25, 1.75)):
+            lower = opnorm(sym2, res6, p_in, p_out, seed=seed).value
+            upper = opnorm_upper(sym2, res6, p_in, p_out).value
+            worst = max(worst, lower / upper)
+            closed += lower >= upper * (1.0 - DEFAULT_TOL)
+            cases += 1
+    out.append(
+        CheckResult(
+            "hypercontractive upper >= power-loop lower (m=6)",
+            worst <= 1.0,
+            f"max lower/upper = {worst:.16f}, {closed} of {cases} brackets closed",
+        )
+    )
     return out
 
 

@@ -241,6 +241,17 @@ def test_walsh_value_builds_no_bit_reversal_table():
     assert _bit_reversal.cache_info().currsize == cached
 
 
+def test_walsh_step_builds_no_bit_reversal_table():
+    cached = _bit_reversal.cache_info().currsize
+    res = Resolution(20)
+    cell = 0b11 << 18 | 1
+    for n in (0, 1, 5, (1 << 19) | 6, res.dim - 1):
+        values = walsh_step(n, res).values
+        assert values[cell] == walsh_value(n, cell, res)
+        assert values[0] == 1.0 and set(np.unique(values)) <= {-1.0, 1.0}
+    assert _bit_reversal.cache_info().currsize == cached
+
+
 @pytest.mark.parametrize("m", range(13))
 def test_walsh_matrix_matches_bit_reversed_sylvester_hadamard(m):
     import scipy.linalg

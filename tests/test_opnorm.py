@@ -22,7 +22,7 @@ from walsh_lab import (
     dual_exponent,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper_interpolated,
+    opnorm_upper,
     random_explicit_symbol,
     resolvent_symbol,
     tail_norm,
@@ -86,7 +86,7 @@ def test_invalid_exponents_rejected():
         opnorm(ReciprocalSymbol(), Resolution(4), 0.5, 2.0)
 
 
-def test_lower_bounds_sandwiched_by_interpolated_upper():
+def test_lower_bounds_sandwiched_by_certified_upper():
     rng = np.random.default_rng(1)
     res = Resolution(6)
     for k in range(8):
@@ -94,7 +94,7 @@ def test_lower_bounds_sandwiched_by_interpolated_upper():
         sup = np.abs(sym.values(64)).max()
         for p in (1.5, 3.0):
             lo = opnorm(sym, res, p, p, seed=k)
-            hi = opnorm_upper_interpolated(sym, res, p)
+            hi = opnorm_upper(sym, res, p, p)
             assert lo.kind == "lower" and hi.kind == "upper"
             assert sup - 1e-10 <= lo.value <= hi.value + 1e-10
 
@@ -121,17 +121,87 @@ exponent_at_least_2 = st.one_of(st.floats(2.0, 50.0), st.just(INF))
     p_out=st.floats(1.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(m=6, p_in=2.0, p_out=2.0, seed=0)
 def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << m
     sym = ExplicitSymbol(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), "zero")
     sup = float(np.abs(sym.values(dim)).max())
     est = opnorm(sym, Resolution(m), p_in, p_out, seed=seed % 1000)
-    assert (est.kind, est.value) == ("exact", sup)
-    if (p_in, p_out) != (2.0, 2.0):  # (2, 2) reports its cross-check's iterations
-        assert est.iterations == 0
+    assert (est.kind, est.value, est.iterations) == ("exact", sup, 0)
     run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
     assert run.value <= sup * (1.0 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_p2_power_loop_reaches_sup_and_never_exceeds_it(m, seed):
+    # opnorm returns sup|a_n| at (2, 2) without iterating.  The Walsh start
+    # with the largest |a_n| is an eigenvector, so the loop reaches sup at its
+    # first step, on the kernel-product path (m <= 8) and the transform path.
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    sup = float(np.abs(diag).max())
+    run = _power_lower(diag, m, 2.0, 2.0, seed=seed % 1000)
+    assert abs(run.value - sup) <= 1e-12 * sup
+
+
+_SYMBOL_DRAWS = {
+    "complex-normal": lambda rng, dim: rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+    "nonnegative": lambda rng, dim: rng.random(dim),
+    "unimodular": lambda rng, dim: np.exp(2j * np.pi * rng.random(dim)),
+    "noise": lambda rng, dim: rng.random() ** np.bitwise_count(np.arange(dim)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_SYMBOL_DRAWS)),
+    regime=st.sampled_from(
+        [(1.25, 1.75), (1.5, 1.5), (1.5, 3.0), (3.0, 3.0), (4.0, 6.0), (1.75, 1.25), (3.0, 1.5), (1.0, 3.0), (1.5, INF)]
+    ),
+    m=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_upper_bounds_the_power_loop(family, regime, m, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    sym = ExplicitSymbol(_SYMBOL_DRAWS[family](rng, dim), "zero")
+    diag = sym.values(dim)
+    upper = opnorm_upper(sym, Resolution(m), *regime)
+    assert upper.kind in ("upper", "exact")
+    assert upper.value >= np.abs(diag).max()
+    run = _power_lower(diag, m, *regime, seed=seed % 1000)
+    assert run.value <= upper.value * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.25, 5.0), (1.1, 2.0), (2.0, 4.0)])
+def test_bonami_noise_symbol_closes_at_one(p, q):
+    # a_n = rho**|n| at rho = sqrt((p - 1) / (q - 1)) is the noise operator at
+    # the Bonami-Beckner critical ratio: its norm is 1, reached by constants,
+    # and the hypercontractive bound is 1 too, so the bracket closes.
+    res = Resolution(8)
+    rho = math.sqrt((min(p, 2.0) - 1.0) / (max(q, 2.0) - 1.0))
+    sym = ExplicitSymbol(rho ** np.bitwise_count(np.arange(res.dim)), "zero")
+    est = opnorm(sym, res, p, q)
+    upper = opnorm_upper(sym, res, p, q)
+    assert (est.kind, est.iterations, est.converged) == ("lower", 2, True)
+    assert 1.0 - 1e-15 <= est.value <= upper.value <= 1.0 + 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("regime", [(1.5, 3.0), (1.5, 1.5), (3.0, 3.0)])
+def test_reciprocal_bracket_closes_after_two_steps(regime, seed):
+    # max 2**|n| / (n + 1) = 1 is the hypercontractive bound and the norm.
+    # All-ones reaches it at step 0 and stops on tol at step 1, which ends the
+    # loop; the other starts would creep toward 1 for all max_iter steps.
+    res = Resolution(8)
+    est = opnorm(ReciprocalSymbol(), res, *regime, seed=seed)
+    assert (est.value, est.iterations, est.converged) == (1.0, 2, True)
+    assert opnorm_upper(ReciprocalSymbol(), res, *regime).value == pytest.approx(1.0, rel=1e-14)
+    run = _power_lower(ReciprocalSymbol().values(res.dim), 8, *regime, seed=seed, want_history=True)
+    assert max(len(hist) for hist in run.histories) <= 2
 
 
 exponent_at_least_1 = st.one_of(st.floats(1.0, 50.0), st.just(INF))
