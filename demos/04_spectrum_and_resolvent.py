@@ -27,7 +27,7 @@ rec = ReciprocalSymbol()
 res = Resolution(5)
 
 print("Point spectrum of the 1/(n+1) multiplier at m=5 (first six):")
-for n, value in point_spectrum(rec, res)[:6]:
+for n, value in enumerate(point_spectrum(rec, res)[:6]):
     print(f"  n={n}: eigenvalue {value.real:.6f}, eigenfunction W_{n}")
 
 print("\nDense eigensolve agrees with the coefficient multiset:")

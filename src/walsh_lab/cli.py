@@ -23,13 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import Resolution
+from .dyadic import MAX_TRANSFORM_LEVELS, Resolution
 from .opnorm import constant_probe, opnorm
 from .spectral import SpectralQuery, compactness_report, membership_batch
 from .symbols import Symbol, symbol_from_json
 from .verify import SUITES, run_suite
-
-MAX_TRANSFORM_LEVELS = 20
 
 OPNORM_HEADER = ["family", "m", "p_in", "p_out", "N", "estimate", "kind", "analytic_sup", "iterations", "seed"]
 DECAY_HEADER = ["family", "p_in", "p_out", "m", "N", "estimate", "analytic_sup", "verdict"]

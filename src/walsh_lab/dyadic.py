@@ -21,7 +21,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,11 @@ __all__ = [
 MAX_WALSH_MATRIX_LEVELS = 12
 # Past this the value arrays alone stop being sensible on one machine.
 MAX_LEVELS = 26
+# Sweeps and spectral queries transform several complex arrays per shift: a
+# spectral report with its accumulation check peaked at about 196 MB at
+# m = 20, and each two further levels about quadruple that (roughly 12 GB at
+# MAX_LEVELS).
+MAX_TRANSFORM_LEVELS = 20
 _INT64_MAX = 2**63 - 1
 # Bytes of one ``fwht`` block taken through its remaining stages while it
 # stays in cache.  A block and its ping-pong partner (1 MB together) fit the
@@ -125,14 +129,12 @@ def _levels_for_length(n: int) -> int:
     return n.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
 def _bit_reversal(m: int) -> np.ndarray:
     """Permutation sending cell index i to its m-bit reversal."""
     idx = np.arange(1 << m, dtype=np.int64)
     rev = np.zeros_like(idx)
     for k in range(m):
         rev |= ((idx >> k) & 1) << (m - 1 - k)
-    rev.flags.writeable = False
     return rev
 
 

@@ -1,5 +1,11 @@
 """Spectrum and compactness diagnostics for Walsh multipliers.
 
+Everything here starts from one theorem: ``T W_n = a_n W_n``, so every
+coefficient value is an eigenvalue with the Walsh function ``W_n`` as its
+eigenvector (Schipp-Wade-Simon, *Walsh Series*, ch. 1).  The layer returns
+what the theorem gives and does not re-check it per call; ``tests/`` and
+``walsh-lab verify multiplier`` own that check.
+
 At p = 2 the description is complete: the spectrum is the closure of the
 coefficient values and the resolvent norm is the reciprocal gap.  For other
 exponents only the inclusion closure{a_n} within the spectrum is certified:
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Resolution, walsh_step
+from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, walsh_step
 from .metrics import pnorm
 from .multiplier import apply_diag, compose_residuals
 from .opnorm import NormEstimate, kernel_l1_upper, tail_norm
@@ -36,10 +42,6 @@ _MAX_WITNESSES = 12
 # 21 x 21 grid took 141-145 ms with this size, 161-176 ms with 2**16 and
 # 220-234 ms with 2**17 (180-198 ms with 2**13); blocks change speed only.
 _BATCH_ELEMS = 1 << 15
-# ``point_spectrum`` applies the multiplier to every Walsh function, which
-# is O(N^2 log N): 0.8 s at m = 11 and 3.9 s at m = 12 on that VM, and each
-# further level about quadruples it.
-MAX_POINT_SPECTRUM_LEVELS = 12
 
 IN_SPECTRUM = "in_spectrum"
 IN_RESOLVENT = "in_resolvent"
@@ -60,6 +62,8 @@ class SpectralQuery:
             raise ValueError("tolerance must be positive")
         if math.isnan(self.p) or self.p < 1.0:
             raise ValueError(f"exponent must lie in [1, inf], got {self.p}")
+        if self.m > MAX_TRANSFORM_LEVELS:
+            raise ValueError(f"spectral queries limited to m <= {MAX_TRANSFORM_LEVELS}, got {self.m}")
 
 
 @dataclass
@@ -111,7 +115,7 @@ class SpectralReport:
 
     family: str
     m: int
-    point_spectrum: list[tuple[int, complex]]
+    point_spectrum: np.ndarray
     membership: MembershipCertificate
     resolvent_norm_l2: float
     lp_resolvent_upper: float | None
@@ -119,11 +123,13 @@ class SpectralReport:
     accumulation_check: str  # 'pass' | 'fail' | 'n/a'
 
     def to_json_dict(self) -> dict:
+        """JSON-ready dict; ``point_spectrum`` becomes ``[[n, [re, im]], ...]``
+        with one pair per index n < 2**m."""
         cert = self.membership
         return {
             "family": self.family,
             "m": self.m,
-            "point_spectrum": [[n, [z.real, z.imag]] for n, z in self.point_spectrum],
+            "point_spectrum": [[n, [z.real, z.imag]] for n, z in enumerate(self.point_spectrum.tolist())],
             "membership": {
                 "verdict": cert.verdict,
                 "lambda": [cert.lam.real, cert.lam.imag],
@@ -141,29 +147,15 @@ class SpectralReport:
         }
 
 
-def point_spectrum(sym: Symbol, res: Resolution):
-    """Eigenpairs (n, a_n) for n < 2**m; ``walsh_step(n, res)`` is the eigenvector.
+def point_spectrum(sym: Symbol, res: Resolution) -> np.ndarray:
+    """Eigenvalues ``a_n`` for n < 2**m as a complex array, entry n for the
+    eigenvector ``walsh_step(n, res)``.
 
-    The eigen-identity is verified exactly: applying the multiplier to a
-    Walsh function involves only sums of a single nonzero coefficient, so
-    the cell values come out bit-for-bit equal to ``a_n * W_n``.  Checking
-    all 2**m eigenpairs costs O(N^2 log N), so m > MAX_POINT_SPECTRUM_LEVELS
-    is refused.
+    ``T W_n = a_n W_n`` holds bit for bit in floating point: the transform
+    of a Walsh function is one nonzero coefficient, so ``apply_diag`` returns
+    exactly ``a_n W_n``.  This is O(N) at every resolution.
     """
-    if res.m > MAX_POINT_SPECTRUM_LEVELS:
-        raise ValueError(f"point spectrum limited to m <= {MAX_POINT_SPECTRUM_LEVELS}, got {res.m}")
-    dim = res.dim
-    diag = sym.values(dim)
-    pairs = []
-    block = 1 << min(res.m, 8)
-    for lo in range(0, dim, block):
-        hi = min(lo + block, dim)
-        rows = np.vstack([walsh_step(n, res).values for n in range(lo, hi)])
-        out = apply_diag(diag, rows)
-        if np.abs(out - diag[lo:hi, None] * rows).max() != 0.0:
-            raise RuntimeError("multiplier failed the exact eigen-identity on a Walsh function")
-        pairs.extend((n, complex(diag[n])) for n in range(lo, hi))
-    return pairs
+    return sym.values(res.dim)
 
 
 def resolvent_norm_l2(sym: Symbol, lam: complex) -> float:
@@ -195,7 +187,7 @@ def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
     block of ``_BATCH_ELEMS // 2**m`` rows.  A batch row of ``fwht`` and
     ``pnorm`` is bit for bit the row on its own, so every certificate is the
     one its shift gets alone.  The witness scan values are computed once
-    for all spectrum shifts.
+    for all spectrum shifts, and each witness gap is read off the scan.
     """
     queries = list(queries)
     if not queries:
@@ -248,17 +240,15 @@ def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
         # Index 0, then every index whose gap falls below all earlier ones.
         records = np.flatnonzero(gaps[1:] < np.minimum.accumulate(gaps)[:-1]) + 1
         picks = [0, *records.tolist()][-_MAX_WITNESSES:]
-        # Walsh functions below 2**m are checked as quasi-eigenvectors.
-        below = sum(n < dim for n in picks)
-        walsh = np.array([walsh_step(n, res).values for n in picks[:below]]).reshape(below, dim)
-        norms = pnorm(apply_diag(a, walsh) - lam * walsh, queries[i].p, 2.0**-m)
+        # ``(T - lam) W_n = (a_n - lam) W_n`` has constant modulus, so its
+        # L^p norm is the scanned gap at every p.
         certs[i] = MembershipCertificate(
             verdict=IN_SPECTRUM,
             lam=lam,
             p=queries[i].p,
             delta=deltas[i],
             witness_indices=picks,
-            witness_gaps=[*norms.tolist(), *(float(gaps[n]) for n in picks[below:])],
+            witness_gaps=gaps[picks].tolist(),
         )
     return certs
 
@@ -355,8 +345,10 @@ def riesz_schauder_check(sym: Symbol, res: Resolution, eps_grid) -> list[dict]:
     """
     if not sym.is_c0:
         raise ValueError("accumulation check applies only to symbols with a_n -> 0")
+    if res.m > MAX_TRANSFORM_LEVELS:
+        raise ValueError(f"accumulation check limited to m <= {MAX_TRANSFORM_LEVELS}, got {res.m}")
     rows = []
-    m2 = min(res.m + 1, 26)
+    m2 = res.m + 1
     vals1 = np.abs(sym.values(res.dim))
     vals2 = np.abs(sym.values(1 << m2))
     zero_ok = sym.closure_distance(0.0) <= 1e-15

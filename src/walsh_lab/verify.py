@@ -246,7 +246,6 @@ def spectral_checks(seed: int = 0) -> list[CheckResult]:
         eig = np.linalg.eigvals(multiplier.MultiplierMatrix(sym, res5).dense())
         want = sym.values(res5.dim)
         ok = ok and _multiset_close(eig, want, 1e-10)
-        spectral.point_spectrum(sym, res5)  # raises unless exact
     out.append(CheckResult("p=2 spectrum equals {a_n} (dense eigensolve, m=5)", ok))
 
     rec = ReciprocalSymbol()

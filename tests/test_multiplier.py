@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walsh_lab import (
@@ -16,11 +18,14 @@ from walsh_lab import (
     analysis,
     apply,
     compose_check,
+    pnorm,
+    random_explicit_symbol,
     truncate,
     walsh_step,
 )
 from walsh_lab.dyadic import walsh_matrix
 from walsh_lab.multiplier import apply_diag, kernel_matrix
+from walsh_lab.verify import _family_zoo
 
 
 def rand_step(rng, m):
@@ -52,15 +57,39 @@ def test_reciprocal_scales_walsh_functions():
     assert np.array_equal(out.values, w4.values / 5)
 
 
-def test_walsh_functions_scale_exactly_at_m16():
-    # Bit-exact diagonality far above the resolutions of the other tests.
-    res = Resolution(16)
-    rng = np.random.default_rng(16)
-    prefix = rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim)
-    sym = ExplicitSymbol(prefix, "zero")
-    for n in rng.integers(0, res.dim, 3):
-        w = walsh_step(int(n), res)
-        assert np.array_equal(apply(sym, w).values, prefix[n] * w.values)
+_ZOO = _family_zoo()
+
+
+# The eigen-theorem ``T W_n = a_n W_n`` holds bit for bit in floating point,
+# which ``spectral.point_spectrum`` and the witness gaps of
+# ``spectral.membership_batch`` return without re-checking.
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.integers(0, len(_ZOO)),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 16),
+    n=st.integers(0, 2**16 - 1),
+    lam=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    on_value=st.booleans(),
+)
+@example(family=len(_ZOO), seed=16, m=16, n=40503, lam=0.5j, on_value=False)
+def test_walsh_functions_are_exact_eigenvectors(family, seed, m, n, lam, on_value):
+    res = Resolution(m)
+    if family < len(_ZOO):
+        sym = _ZOO[family]
+    else:  # a random complex explicit symbol
+        sym = random_explicit_symbol(np.random.default_rng(seed), res.dim)
+    n %= res.dim
+    a = sym.values(res.dim)
+    w = walsh_step(n, res).values
+    image = apply_diag(a, w)
+    assert np.array_equal(image, a[n] * w)
+    lam = a[n] if on_value else lam
+    # The gap as ``membership_batch`` scans it: the ``np.abs`` ufunc, which
+    # can differ in the last bit from the scalar ``abs`` of a complex128.
+    gap = np.abs(a - lam)[n]
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        assert pnorm(image - lam * w, p, 2.0**-m) == gap
 
 
 def test_diagonality_exact():

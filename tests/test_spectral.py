@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -45,18 +46,30 @@ _EPS = np.finfo(np.float64).eps
 
 
 def test_point_spectrum_constant():
-    pairs = point_spectrum(ConstantSymbol(2.5j), Resolution(4))
-    assert all(v == 2.5j for _, v in pairs)
+    values = point_spectrum(ConstantSymbol(2.5j), Resolution(4))
+    assert all(v == 2.5j for v in values)
 
 
 def test_point_spectrum_reciprocal():
-    pairs = point_spectrum(ReciprocalSymbol(), Resolution(3))
-    assert [v for _, v in pairs] == [1 / (n + 1) for n in range(8)]
+    values = point_spectrum(ReciprocalSymbol(), Resolution(3))
+    assert values.tolist() == [1 / (n + 1) for n in range(8)]
 
 
-def test_point_spectrum_refuses_large_resolutions():
-    with pytest.raises(ValueError, match="m <= 12"):
-        point_spectrum(ReciprocalSymbol(), Resolution(13))
+def test_point_spectrum_is_the_symbol_values_at_m20():
+    sym = ReciprocalSymbol()
+    assert np.array_equal(point_spectrum(sym, Resolution(20)), sym.values(1 << 20))
+    doc = spectral_report(sym, SpectralQuery(2.0, p=3.0, m=16)).to_json_dict()
+    assert len(doc["point_spectrum"]) == 65536
+    assert doc["point_spectrum"][3] == [3, [0.25, 0.0]]
+    json.dumps(doc)
+
+
+def test_spectral_layer_refuses_resolutions_above_the_transform_cap():
+    with pytest.raises(ValueError, match="m <= 20"):
+        SpectralQuery(2.0, m=21)
+    with pytest.raises(ValueError, match="m <= 20"):
+        riesz_schauder_check(ReciprocalSymbol(), Resolution(21), [0.1])
+    SpectralQuery(2.0, m=20)
 
 
 def test_resolvent_norm_values():
@@ -233,8 +246,6 @@ def test_spectral_report_serializes():
     assert doc["compactness"] == "compact"
     assert doc["accumulation_check"] == "pass"
     assert doc["resolvent_norm_l2"] == pytest.approx(1.0)
-    import json
-
     json.dumps(doc)  # must be JSON-clean
 
     rep2 = spectral_report(AlternatingSymbol(), SpectralQuery(1.0, p=2.0, m=5))
