@@ -8,6 +8,7 @@ and handled as the max norm; the dual exponent pairs 1 with inf.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,17 +97,55 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
+@dataclass(frozen=True)
+class RatioForm:
+    """A ratio ``pnorm(fwht(x) / divisor, num_p, num_weight) / pnorm(x, den_p,
+    den_weight)`` of the transform of x to x, row-wise, 0 for a zero row.
+
+    ``hy_ratios`` and ``synthesis_ratios`` are two such forms; the probe
+    ascent takes the parts apart, to evaluate candidates from a transform it
+    updates itself.
+    """
+
+    num_p: float
+    num_weight: float
+    divisor: int
+    den_p: float
+    den_weight: float
+
+    def scaled(self, transforms: np.ndarray) -> np.ndarray:
+        return transforms if self.divisor == 1 else transforms / self.divisor
+
+    def denominators(self, values: np.ndarray):
+        return pnorm(values, self.den_p, self.den_weight)
+
+    def of(self, scaled: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The ratios, given ``scaled = self.scaled(fwht(values))``."""
+        return _ratios(pnorm(scaled, self.num_p, self.num_weight), self.denominators(values))
+
+    def ratios(self, values: np.ndarray) -> np.ndarray:
+        # The unscaled transform is freed before the norms run.
+        return self.of(self.scaled(fwht(values)), values)
+
+
+def hy_form(p: float, dim: int) -> RatioForm:
+    """``||fwht(x) / dim||_{p'} / ||x||_{L^p}`` on ``dim`` cells; p unchecked."""
+    return RatioForm(dual_exponent(p), 1.0, dim, p, 1.0 / dim)
+
+
+def synthesis_form(p: float, dim: int) -> RatioForm:
+    """``||fwht(c)||_{L^p} / ||c||_{p'}`` on ``dim`` coefficients; p unchecked."""
+    return RatioForm(p, 1.0 / dim, 1, dual_exponent(p), 1.0)
+
+
 def hy_ratios(values: np.ndarray, p: float) -> np.ndarray:
     """``hy_ratio`` of each row of cell values, 0 for a zero row; p unchecked."""
-    dim = values.shape[-1]
-    num = pnorm(fwht(values) / dim, dual_exponent(p))
-    return _ratios(num, pnorm(values, p, 1.0 / dim))
+    return hy_form(p, values.shape[-1]).ratios(values)
 
 
 def synthesis_ratios(coeffs: np.ndarray, p: float) -> np.ndarray:
     """``synthesis_ratio`` of each row of coefficients, 0 for a zero row; p unchecked."""
-    num = pnorm(fwht(coeffs), p, 1.0 / coeffs.shape[-1])
-    return _ratios(num, pnorm(coeffs, dual_exponent(p)))
+    return synthesis_form(p, coeffs.shape[-1]).ratios(coeffs)
 
 
 def hy_ratio(f: StepFunction, p: float) -> float:

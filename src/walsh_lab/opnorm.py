@@ -55,14 +55,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Resolution, fwht, walsh_step
+from .dyadic import Resolution, _bit_reversal, fwht, walsh_step
 from .metrics import (
+    RatioForm,
     dual_exponent,
     hy_exponent,
-    hy_ratios,
+    hy_form,
     pnorm,
     synthesis_exponent,
-    synthesis_ratios,
+    synthesis_form,
 )
 from .multiplier import apply_diag, kernel_matrix
 from .symbols import ExplicitSymbol, Symbol, tail
@@ -89,24 +90,30 @@ _EPS = np.finfo(np.float64).eps
 # it still wins in wall time (0.39 against 0.51-0.55 ms) but costs more CPU
 # (0.78 against 0.52-0.55 ms).  Moving the cutoff would also change the
 # rounding, and so the printed bytes, of power-loop values at the dims
-# between the old and the new cutoff.
+# between the old and the new cutoff.  After each product OpenBLAS's worker
+# threads spin for a while, and that CPU is billed to whatever runs next: a
+# ``constant_probe("hy", 1.5, Resolution(6), trials=2000)`` right after an
+# m = 8 ``opnorm`` took 61 ms wall and 120 ms CPU on the VM above, against
+# 55 ms of each with OPENBLAS_NUM_THREADS=1 (and CPU no more than wall after
+# a second idle).  numpy offers no per-call thread control, and this package
+# sets no environment variable: a caller who counts CPU time can set
+# OPENBLAS_NUM_THREADS=1 before numpy is first imported.
 GEMM_MAX_DIM = 256
 # The power loop holds about 170 bytes per start and cell at its peak
 # (14 MB for 21 starts at m = 12, 3.7 GB at m = 20), and one step at m = 12
 # takes about 18 ms on the VM above, so 500 steps about 9 s; each further
 # level doubles both.
 MAX_POWER_LEVELS = 12
-# The constant probes' ascent batches the candidates of all its starts in
-# each round; a start's block holds up to ``4 * PROBE_SPECULATION_MAX_DIM //
-# dim`` coordinates (three rows each) at or below this dimension and one
-# coordinate above it.  One 12-row ``hy_ratios`` call against 12 single-row
-# calls, on the VM above (best of 40-200 repeats), ran 7.7x faster at m = 6,
-# 4.4x at 8, 2.05x at 10, 1.24x at 11 and 0.72x at 12 (3 rows: 2.3x at 6,
-# 1.0x at 10, 0.73x at 11, 0.54x at 12), so above it speculation rows cost
-# more than the calls they save: ``constant_probe("synthesis", 1.5,
-# Resolution(11), trials=50, seed=3)`` took 62-71 s with one-coordinate blocks,
-# 82-90 s with two, and 74-83 s with one call per candidate.  The cutoff
-# changes speed only, never bytes.
+# The constant probes' ascent screens the candidates of all its starts in
+# each round (``constant_probe``); a start's block holds up to
+# ``4 * PROBE_SPECULATION_MAX_DIM // dim`` coordinates (three rows each) at or
+# below this dimension and one coordinate above it.  A screened row costs an
+# O(dim) update and norm, and each round a fixed numpy overhead.  On the VM
+# above (one run each), hy 1.5 at m = 10 with 50 trials took 3.8 s at this
+# cutoff against 4.5 s at 256, 4.0 s at 4096 and 4.9 s at 16384 (synthesis
+# 1.5: 5.1 against 6.4, 5.8 and 8.1 s); at m = 6 and 8 with 2000 trials the
+# four cutoffs were within the run-to-run spread.  The cutoff changes speed
+# only, never bytes.
 PROBE_SPECULATION_MAX_DIM = 1024
 # ``constant_probe`` refuses ``trials * 2**m`` above MAX_PROBE_ELEMS: its
 # (trials, 2**m) complex batch (16 B per element) and the temporaries of its
@@ -115,17 +122,24 @@ PROBE_SPECULATION_MAX_DIM = 1024
 PROBE_BYTES_PER_ELEM = 56
 MAX_PROBE_ELEMS = 2**26
 # ``constant_probe`` also refuses m above MAX_PROBE_LEVELS, whatever the
-# trial count: above PROBE_SPECULATION_MAX_DIM the ascent makes one transform
-# call per coordinate and pass, so each level about quadruples its time.
+# trial count: the ascent screens three candidates per coordinate, each an
+# O(2**m) update and norm, so a pass costs O(4**m).
 # ``constant_probe("synthesis", 1.5, Resolution(m), trials=50, seed=3)`` took
-# 62-78 s at m = 11 and 371 s at m = 12 on the VM above; at m = 20 one pass
-# of one start alone would take days.
+# 6.0 / 17.6 / 52.8 s at m = 10 / 11 / 12 on the VM above (hy 1.5: 4.1 / 12.6
+# / 37.7 s), about 3x per level; at m = 20 it would take days.
 MAX_PROBE_LEVELS = 12
 _PROBE_STARTS = 4
 _PROBE_PASSES = 16
 # The ascent's moves in trial order, each with the quarter turns it adds.
 _MOVES = ((-1.0, 2), (1j, 1), (-1j, 3))
 _MOVE_MULTIPLIERS = np.array([mul for mul, _ in _MOVES])
+# The row, in move order, of the candidate one, two and three quarter turns on.
+_ROW_OF_TURN = (1, 0, 2)
+# A move is kept when it raises the ratio past ``current * _GAIN``.
+_GAIN = 1.0 + 1e-14
+# Factor on the probe screen's first-order error bound (``constant_probe``).
+_SCREEN_SAFETY = 2.0
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -597,19 +611,124 @@ def multiplier_bound_check(
     )
 
 
-def _candidate_ratios(ratios_of, p: float, xs, blocks) -> list[list[float]]:
-    """Ratios of the three moves ``x_i -> -x_i, i x_i, -i x_i`` at every
-    coordinate of every block ``(start, first, size)``, from one ``ratios_of``
-    call over all rows, flattened per block as ``[-1, +i, -i]`` per coordinate.
+class _Start:
+    """One start of the probe ascent: its vector, the running estimate of its
+    transform, and the bracket ``[lo, hi]`` known to hold its exact ratio."""
+
+    def __init__(self, x: np.ndarray, transform: np.ndarray, ratio: float, form: RatioForm):
+        self.x = x
+        self.transform = transform
+        self.lo = self.hi = ratio
+        self.updates = 0  # rank-one updates since ``transform`` was exact
+        self.den = float(form.denominators(x))
+        self.l1 = float(np.abs(x).sum()) + x.size * _ETA
+        self.pos = self.passes = 0
+        self.size = 1
+        self.improved = False
+
+    def move(self, i: int, value: complex, transform: np.ndarray) -> None:
+        """Set ``x_i`` and the transform estimate, one update further on."""
+        self.x[i] = value
+        self.transform = transform
+        self.updates += 1
+
+    def refresh(self, form: RatioForm) -> None:
+        """Exact transform and ratio, bit for bit those of ``form.ratios``."""
+        self.transform = fwht(self.x)
+        self.updates = 0
+        self.lo = self.hi = float(form.of(form.scaled(self.transform), self.x))
+
+
+def _candidate_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows of x with ``x_i`` replaced by ``-x_i``, ``i x_i`` and ``-i x_i`` in
+    turn, three per coordinate of ``idx``: shape ``(3 * len(idx), dim)``."""
+    size = idx.size
+    rows = np.repeat(x[None], 3 * size, axis=0)
+    rows.reshape(size, 3, -1)[np.arange(size), :, idx] = x[idx, None] * _MOVE_MULTIPLIERS
+    return rows
+
+
+def _screen(form: RatioForm, rev: np.ndarray, blocks):
+    """Estimated transforms and certified ratio brackets of the three moves at
+    every coordinate of every block ``(start, idx)``, all blocks in one batch;
+    ``rev`` is ``_bit_reversal(m)``.  For the C coordinates of the blocks in
+    turn, returns the estimated transforms times ``W_i``, shape
+    ``(C, 3, dim)`` in the move order ``-1, +i, -i``; the ``W_i``, shape
+    ``(C, dim)``; and nested lists ``lo``, ``hi`` of shape ``(C, 3)``
+    ordered by quarter turns 1, 2, 3.  See ``constant_probe`` for the bound.
     """
-    parts = []
-    for s, first, size in blocks:
-        rows = np.repeat(xs[s][None], 3 * size, axis=0)
-        idx = np.arange(first, first + size)
-        rows.reshape(size, 3, -1)[np.arange(size), :, idx] = xs[s][idx, None] * _MOVE_MULTIPLIERS
-        parts.append(rows)
-    flat = iter(ratios_of(np.concatenate(parts), p).tolist())
-    return [list(itertools.islice(flat, 3 * size)) for _, _, size in blocks]
+    dim = rev.size
+    m = dim.bit_length() - 1
+    u = _EPS / 2
+    grow = (form.num_weight * dim) ** (1.0 / form.num_p)
+    rho = (dim / form.num_p + m + 16) * u
+    sizes = [idx.size for _, idx in blocks]
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    coords = np.concatenate([idx for _, idx in blocks])
+    # Column i of the Paley matrix, W_i on the cells: exactly +-1.
+    signs = 1.0 - 2.0 * (np.bitwise_count(rev[coords, None] & np.arange(dim)) & 1)
+    xi = np.stack([st.x for st, _ in blocks])[owner, coords][:, None]
+    steps = xi * _MOVE_MULTIPLIERS - xi
+    # ``w * F + step`` is ``w * (F + w * step)`` bit for bit (w = +-1, and
+    # rounding is symmetric), so it has the candidate's moduli.
+    signed = np.stack([st.transform for st, _ in blocks])[owner] * signs
+    rows = signed[:, None, :] + steps[:, :, None]
+    num = pnorm(rows, form.num_p, form.num_weight)[:, _ROW_OF_TURN] / form.divisor
+
+    # Per start, the bracket is ``est +- (slope * est + offset)``.  With a
+    # zero denominator every candidate's ratio is exactly 0: dividing by inf
+    # and a zero offset give the bracket [0, 0].
+    dens, offsets = [], []
+    for st, _ in blocks:
+        if st.den > 0:
+            drift = grow * ((2 * m + 5 * (st.updates + 1)) * u * st.l1 / form.divisor + 2 * _ETA)
+            dens.append(st.den)
+            offsets.append(_SCREEN_SAFETY * ((drift + 2 * (grow + 1) * _ETA) / st.den + 2 * _ETA))
+        else:
+            dens.append(INF)
+            offsets.append(0.0)
+    est = num / np.repeat(dens, sizes)[:, None]
+    margin = _SCREEN_SAFETY * (2 * rho + 2 * u) * est + np.repeat(offsets, sizes)[:, None]
+    return rows, signs, (est - margin).tolist(), (est + margin).tolist()
+
+
+def _sweep(x_i, lo, hi):
+    """The ``-1, +i, -i`` first-improvement sweep at one coordinate, decided
+    from brackets: ``lo[t] <= ratio <= hi[t]`` at ``x_i * i**t`` (t = 0 is the
+    vector as it stands).  Returns the kept value and its quarter turns, or
+    None when a bracket leaves a comparison open."""
+    keep, turns = x_i, 0
+    for mul, quarter in _MOVES:
+        t = (turns + quarter) % 4
+        if lo[t] > hi[turns] * _GAIN:
+            keep, turns = keep * mul, t
+        elif not hi[t] <= lo[turns] * _GAIN:
+            return None
+    return keep, turns
+
+
+def _replay(st: _Start, idx, rows: np.ndarray, signs: np.ndarray, lo, hi, cap: int) -> int | None:
+    """Sweep the coordinates ``idx`` of a start in order, from the brackets
+    ``lo``, ``hi`` of their moves (as ``_screen`` returns them), until a move
+    is kept.  A kept move updates the vector, the transform estimate (the
+    candidate's estimated row) and the start's bracket.  Returns None after
+    moving the start past the coordinates it decided, else the position in
+    ``idx`` of the first coordinate a bracket left open."""
+    for j, i in enumerate(idx):
+        lo4 = (st.lo, *lo[j])
+        hi4 = (st.hi, *hi[j])
+        swept = _sweep(st.x[i], lo4, hi4)
+        if swept is None:
+            return j
+        keep, turns = swept
+        if turns:
+            st.move(i, keep, rows[j, _ROW_OF_TURN[turns - 1]] * signs[j])
+            st.lo, st.hi = lo4[turns], hi4[turns]
+            st.pos, st.size, st.improved = i + 1, 1, True
+            return None
+    st.pos = idx[-1] + 1
+    st.size = min(2 * st.size, cap)
+    return None
 
 
 def constant_probe(
@@ -630,33 +749,69 @@ def constant_probe(
     best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` and
     m above ``MAX_PROBE_LEVELS`` are refused before drawing.
 
-    The starts advance in lockstep, each with its own coordinate, pass count
-    and improvement flag.  Each round, every active start contributes a
-    speculative block of upcoming coordinates, three candidate rows per
-    coordinate (``x_i`` replaced by ``-x_i``, ``i x_i`` and ``-i x_i``), and
-    all rows of all starts go through one ``ratios_of`` call.  The
-    ``-1, +i, -i`` sweep only ever visits the four phases ``x_i {1, -1, i, -i}``
-    and the ratio at phase 1 is the current one, so each start replays the
-    sweep in order from the precomputed ratios.  At the first coordinate
-    with a kept move it applies the move and drops the rest of its block
-    (those rows were evaluated against the old vector); its next block
-    starts at the following coordinate with one coordinate, and a block
-    without a kept move doubles the next, up to
-    ``4 * PROBE_SPECULATION_MAX_DIM // 2**m`` coordinates.  Above
-    ``PROBE_SPECULATION_MAX_DIM`` a block is one coordinate, so a round
-    evaluates the three candidates of every active start.
+    Every decision is the one the one-candidate-at-a-time loop takes, which
+    evaluates each candidate exactly (``hy_ratios`` or ``synthesis_ratios``:
+    one transform and two norms), so ``best_ratio`` and the witness bytes are
+    those of that loop.  Write the ratio as ``pnorm(H x / d, r, w) / den(x)``
+    (``metrics.RatioForm``), H the Paley matrix, N = 2**m and u = eps / 2.
 
-    Every row evaluated is a vector the one-candidate-at-a-time loop would
-    evaluate, and a batch row of ``fwht`` and ``pnorm`` is bit for bit the
-    row on its own, so ``best_ratio`` and the witness bytes are those of that
-    loop whatever the block sizes.
+    *Screen.*  Each start keeps an estimate F of ``H x``.  The move
+    ``x_i -> mu x_i`` (mu in {-1, i, -i}) changes ``H x`` by
+    ``(mu - 1) x_i w_i``, where ``w_i``, column i of the symmetric H, is
+    ``W_i`` on the cells and exactly +-1, so a candidate costs one O(N)
+    update and one ``pnorm``.  Its denominator is the start's own, bit for
+    bit: products by +-1 and +-i are exact and the modulus ignores signs and
+    order, so ``|mu x_i| == |x_i|``.  A candidate's exact ratio lies within
+    the estimate ``pnorm(F', r, w) / d / den`` plus or minus the sum of
+    (``L1 = ||x||_1``, which moves never change; k the updates since F was
+    exact):
+
+    * the transforms' error: F and the exact path's ``fwht`` each lie within
+      ``m u L1`` of ``H x'`` in every entry (a depth-m tree of additions),
+      and each update adds at most ``5 u L1`` (``fl(mu x_i - x_i)`` and the
+      sum), so they differ by at most ``(2 m + 5 (k + 1)) u L1`` per entry,
+      and the numerators by ``(w N)**(1/r) / d`` times that;
+    * ``pnorm``'s own rounding on each side, relative
+      ``rho = (N / r + m + 16) u`` (the moduli, the quotients by the max, the
+      powers, an N-term sum of nonnegative terms, the root);
+    * the quotient by ``den``, one rounding on each side;
+    * a few subnormal steps for underflow in the moduli, the division by d
+      and the results.
+
+    The bracket is the estimate plus and minus ``_SCREEN_SAFETY = 2`` times
+    that first-order bound, which covers the dropped ``(1 + O(N u))``
+    factors and the rounding of the bound itself.  A zero denominator makes
+    every ratio exactly 0.
+
+    *Replay.*  The start's ratio is known as a bracket too: exact after a
+    refresh or a fallback, the kept candidate's bracket after a screened
+    move.  A move is kept when its bracket lies wholly above the threshold
+    ``current * (1 + 1e-14)`` taken over the start's bracket, and dropped
+    when wholly at or below it; rounding is monotone, so either outcome is
+    the exact loop's.  Where a bracket straddles its threshold, the rows of
+    that coordinate and of the rest of its block (and the vector itself, if
+    its ratio is a bracket) are evaluated exactly, batched over all starts,
+    and the block replays from exact values.  A batch row of ``fwht`` and
+    ``pnorm`` is bit for bit the row on its own.  Each further pass of a
+    start begins with one exact ``fwht``, which resets k, and ``best_ratio``
+    comes from one final exact evaluation of the finished starts.
+
+    *Blocks.*  The starts advance in lockstep.  Each round, every active
+    start screens a block of upcoming coordinates, all in one batch; at the
+    first kept move it drops the rest of its block (screened against the old
+    vector), and its next block starts at the following coordinate with one
+    coordinate.  A block without a kept move doubles the next, up to
+    ``4 * PROBE_SPECULATION_MAX_DIM // 2**m`` coordinates, one above
+    ``PROBE_SPECULATION_MAX_DIM``.  At hy p = 2 the ratio is 1 for every
+    vector (Parseval), every move ties within the bracket, and each block
+    falls back as a whole.
     """
     if inequality == "hy":
         p = hy_exponent(p)
-        ratios_of = hy_ratios
+        make_form = hy_form
     elif inequality == "synthesis":
         p = synthesis_exponent(p)
-        ratios_of = synthesis_ratios
+        make_form = synthesis_form
     else:
         raise ValueError(f"unknown inequality {inequality!r} (expected 'hy' or 'synthesis')")
     if trials < 1:
@@ -672,59 +827,68 @@ def constant_probe(
         )
     if m > MAX_PROBE_LEVELS:
         raise ValueError(
-            f"constant probes limited to m <= {MAX_PROBE_LEVELS}, got {m}: above "
-            f"{PROBE_SPECULATION_MAX_DIM} cells the ascent makes one transform call "
-            f"per coordinate and pass"
+            f"constant probes limited to m <= {MAX_PROBE_LEVELS}, got {m}: the "
+            f"ascent screens each candidate with an O(2**m) update and norm, so "
+            f"its time about triples per level (about a minute at m = 12)"
         )
+    form = make_form(p, dim)
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    ratios = ratios_of(batch, p)
+    ratios = form.ratios(batch)
 
     order = np.argsort(-ratios, kind="stable")[:_PROBE_STARTS]
     best_ratio = float(ratios[order[0]])
     best_witness = batch[order[0]].copy()
 
     cap = 4 * PROBE_SPECULATION_MAX_DIM // dim if dim <= PROBE_SPECULATION_MAX_DIM else 1
-    xs = [batch[row].copy() for row in order]
-    current = [float(ratios[row]) for row in order]
-    n = len(xs)
-    pos, passes, size = [0] * n, [0] * n, [1] * n
-    improved = [False] * n
-    active = list(range(n))
+    rev = _bit_reversal(m)
+    xs = batch[order]
+    del batch
+    starts = [
+        _Start(x, transform, float(ratios[row]), form)
+        for x, transform, row in zip(xs, fwht(xs), order)
+    ]
+    active = list(starts)
     while active:
-        blocks = [(s, pos[s], min(size[s], dim - pos[s])) for s in active]
-        for (s, first, width), cand in zip(blocks, _candidate_ratios(ratios_of, p, xs, blocks)):
-            x = xs[s]
-            kept = False
-            for j in range(width):
-                i = first + j
-                # Ratio at x_i times i**turns; turn 0 is the vector as it stands.
-                by_turns = (current[s], cand[3 * j + 1], cand[3 * j], cand[3 * j + 2])
-                keep, turns = x[i], 0
-                for mul, quarter in _MOVES:
-                    trial = by_turns[(turns + quarter) % 4]
-                    if trial > current[s] * (1.0 + 1e-14):
-                        current[s] = trial
-                        keep = keep * mul
-                        turns = (turns + quarter) % 4
-                        kept = True
-                x[i] = keep
-                if kept:
-                    break
-            pos[s] = i + 1
-            size[s] = 1 if kept else min(2 * size[s], cap)
-            improved[s] |= kept
-            if pos[s] == dim:
-                passes[s] += 1
-                pos[s] = 0
-                if not improved[s] or passes[s] == _PROBE_PASSES:
-                    active.remove(s)
-                improved[s] = False
+        blocks = [(st, np.arange(st.pos, st.pos + min(st.size, dim - st.pos))) for st in active]
+        undecided = []
+        rows, signs, lo, hi = _screen(form, rev, blocks)
+        at = 0
+        for st, idx in blocks:
+            stop = at + idx.size
+            j = _replay(st, idx.tolist(), rows[at:stop], signs[at:stop], lo[at:stop], hi[at:stop], cap)
+            if j is not None:
+                undecided.append((st, idx[j:], rows[at + j : stop], signs[at + j : stop]))
+            at = stop
+        if undecided:
+            # The rest of each block, and the vector whose ratio is a bracket.
+            exact_rows = []
+            for st, idx, _, _ in undecided:
+                if st.lo != st.hi:
+                    exact_rows.append(st.x[None])
+                exact_rows.append(_candidate_rows(st.x, idx))
+            exact = iter(form.ratios(np.concatenate(exact_rows)).tolist())
+            for st, idx, rows, signs in undecided:
+                if st.lo != st.hi:
+                    st.lo = st.hi = next(exact)
+                # ``exact`` runs in move order; brackets go by quarter turns.
+                moves = itertools.islice(exact, 3 * idx.size)
+                vals = [[by_move[k] for k in _ROW_OF_TURN] for by_move in zip(moves, moves, moves)]
+                _replay(st, idx.tolist(), rows, signs, vals, vals, cap)
+        for st in [st for st in active if st.pos == dim]:
+            st.passes += 1
+            st.pos = 0
+            if not st.improved or st.passes == _PROBE_PASSES:
+                active.remove(st)
+            else:
+                st.refresh(form)
+            st.improved = False
 
-    for s in range(n):
-        if current[s] > best_ratio:
-            best_ratio = current[s]
-            best_witness = xs[s]
+    finals = form.ratios(np.stack([st.x for st in starts]))
+    for st, final in zip(starts, finals.tolist()):
+        if final > best_ratio:
+            best_ratio = final
+            best_witness = st.x
 
     return ConstantProbe(
         inequality=inequality,

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import warnings
 from functools import partial
@@ -27,10 +28,28 @@ from walsh_lab import (
     resolvent_symbol,
     tail_norm,
 )
-from walsh_lab.dyadic import fwht
-from walsh_lab.metrics import hy_exponent, hy_ratios, synthesis_exponent, synthesis_ratios
+from walsh_lab.dyadic import _bit_reversal, fwht
+from walsh_lab.metrics import (
+    hy_exponent,
+    hy_form,
+    hy_ratios,
+    synthesis_exponent,
+    synthesis_form,
+    synthesis_ratios,
+)
 from walsh_lab.multiplier import apply_diag
-from walsh_lab.opnorm import MAX_PROBE_ELEMS, MAX_PROBE_LEVELS, _power_lower, _row_operators
+from walsh_lab.opnorm import (
+    _MOVE_MULTIPLIERS,
+    _MOVES,
+    _ROW_OF_TURN,
+    MAX_PROBE_ELEMS,
+    MAX_PROBE_LEVELS,
+    _candidate_rows,
+    _power_lower,
+    _row_operators,
+    _screen,
+    _Start,
+)
 
 INF = math.inf
 
@@ -511,7 +530,7 @@ def _constant_probe_reference(inequality, p, res, trials=10000, seed=0):
     return best_ratio, best_witness
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
     case=st.one_of(
         st.tuples(st.just("hy"), st.sampled_from([1.1, 1.25, 1.5, 1.9, 2.0])),
@@ -537,23 +556,133 @@ def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed):
     assert probe.witness.tobytes() == witness.tobytes()
 
 
-def test_probe_ascent_batches_its_transforms(monkeypatch):
-    # One transform per candidate move would make 4036 here.
-    module = importlib.import_module("walsh_lab.metrics")
+def _counting_transforms(monkeypatch):
+    """Record the shape of every ``fwht`` call the probe makes."""
     calls = []
 
     def counting_fwht(values):
         calls.append(np.shape(values))
         return fwht(values)
 
-    monkeypatch.setattr(module, "fwht", counting_fwht)
+    for name in ("walsh_lab.metrics", "walsh_lab.opnorm"):
+        monkeypatch.setattr(importlib.import_module(name), "fwht", counting_fwht)
+    return calls
+
+
+def test_probe_ascent_batches_its_transforms(monkeypatch):
+    # The screen decides every move here, so the exact transforms are the
+    # random starts, the four starts' own, one refresh per further pass
+    # (17 here) and the final ratios.  One transform per candidate move
+    # would make 4036.
+    calls = _counting_transforms(monkeypatch)
     constant_probe("hy", 1.5, Resolution(6), trials=2000, seed=1)
-    assert calls[0] == (2000, 64)  # the random starts
-    ascent = calls[1:]
-    assert 0 < len(ascent) <= 200
-    # 4 starts x 3 rows x (4 * PROBE_SPECULATION_MAX_DIM / dim) coordinates, times dim
-    cap = 4 * 3 * 4 * importlib.import_module("walsh_lab.opnorm").PROBE_SPECULATION_MAX_DIM
-    assert max(math.prod(shape) for shape in ascent) <= cap
+    assert calls == [(2000, 64), (4, 64)] + [(64,)] * 17 + [(4, 64)]
+
+
+def test_probe_fallbacks_stay_batched_at_p2(monkeypatch):
+    # At p = 2 every move ties within the screen's bracket (Parseval), so
+    # each block falls back whole: one exact batch per round for all starts,
+    # the blocks doubling from one coordinate to the rest of the pass.
+    calls = _counting_transforms(monkeypatch)
+    probe = constant_probe("hy", 2.0, Resolution(6), trials=2000, seed=1)
+    rows = [12, 24, 48, 96, 192, 384, 12]  # 4 starts x 3 moves x 1, 2, ..., 32, 1
+    assert calls == [(2000, 64), (4, 64)] + [(r, 64) for r in rows] + [(4, 64)]
+    assert probe.best_ratio == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("hy", 1.5, 6, 40, 3),
+        ("hy", 1.9, 7, 10, 2),
+        ("hy", 1.1, 4, 5, 8),
+        ("synthesis", 1.25, 5, 20, 1),
+        ("synthesis", 1.75, 3, 7, 0),
+    ],
+)
+def test_probe_fallback_alone_gives_the_same_bytes(monkeypatch, case):
+    # With an infinite margin every bracket straddles its threshold and every
+    # decision comes from exact rows.
+    inequality, p, m, trials, seed = case
+    default = constant_probe(inequality, p, Resolution(m), trials=trials, seed=seed)
+    monkeypatch.setattr(importlib.import_module("walsh_lab.opnorm"), "_SCREEN_SAFETY", math.inf)
+    calls = _counting_transforms(monkeypatch)
+    forced = constant_probe(inequality, p, Resolution(m), trials=trials, seed=seed)
+    assert any(shape[0] > 4 for shape in calls[2:])  # exact candidate rows ran
+    assert forced.best_ratio == default.best_ratio
+    assert forced.witness.tobytes() == default.witness.tobytes()
+
+
+def _probe_vector(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if kind == "zeros":
+        x[rng.random(dim) < rng.random()] = 0.0
+    elif kind == "subnormal":
+        x *= 1e-310
+        x[rng.random(dim) < 0.2] *= 1e300
+    elif kind == "range":
+        x *= 10.0 ** rng.uniform(-150.0, 150.0, dim)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("hy"), st.sampled_from([1.1, 1.25, 1.5, 1.9])),
+        st.tuples(st.just("synthesis"), st.sampled_from([1.1, 1.25, 1.5, 1.75])),
+    ),
+    m=st.integers(0, 10),
+    kind=st.sampled_from(["normal", "zeros", "subnormal", "range"]),
+    moves=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=("hy", 1.5), m=0, kind="normal", moves=3, seed=0)
+@example(case=("synthesis", 1.1), m=10, kind="range", moves=40, seed=1)
+@example(case=("hy", 1.1), m=6, kind="subnormal", moves=5, seed=2)
+def test_probe_screen_brackets_hold_the_exact_ratios(case, m, kind, moves, seed):
+    # After some moves made through the screen's own transform updates, the
+    # exact ratio of every candidate lies in its bracket, with no tolerance.
+    inequality, p = case
+    dim = 1 << m
+    form = (hy_form if inequality == "hy" else synthesis_form)(p, dim)
+    rng = np.random.default_rng(seed)
+    x = _probe_vector(kind, dim, rng)
+    start = _Start(x, fwht(x), float(form.ratios(x)), form)
+    rev = _bit_reversal(m)
+    for _ in range(moves):
+        i, k = int(rng.integers(dim)), int(rng.integers(3))
+        rows, signs, _, _ = _screen(form, rev, [(start, np.array([i]))])
+        start.move(i, start.x[i] * _MOVES[k][0], rows[0, k] * signs[0])
+
+    idx = np.sort(rng.choice(dim, size=min(dim, 48), replace=False))
+    _, _, lo, hi = _screen(form, rev, [(start, idx)])
+    exact = form.ratios(_candidate_rows(start.x, idx)).reshape(-1, 3)[:, list(_ROW_OF_TURN)]
+    lo, hi = np.array(lo), np.array(hi)
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+    if kind == "normal":  # the bracket is narrow enough to decide real moves
+        assert np.all(hi - lo <= 1e-9 * exact)
+
+
+@given(
+    st.lists(
+        st.complex_numbers(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        min_size=1,
+        max_size=32,
+    )
+)
+def test_quarter_turns_keep_moduli_bit_for_bit(values):
+    # The screen's denominator is the start's own: each move's vector, and
+    # each chain of kept moves, has the same moduli as the start.
+    x = np.array(values, dtype=np.complex128)
+    mags = np.abs(x).tobytes()
+    for chosen in itertools.product((False, True), repeat=len(_MOVES)):
+        turned = x.copy()
+        for keep, (mul, _) in zip(chosen, _MOVES):
+            if keep:
+                turned = turned * mul
+        assert np.abs(turned).tobytes() == mags
+    for k in range(3):
+        assert np.abs(x[:, None] * _MOVE_MULTIPLIERS)[:, k].tobytes() == mags
 
 
 def test_probe_refuses_levels_above_the_cap(monkeypatch):
