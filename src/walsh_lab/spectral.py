@@ -9,10 +9,13 @@ what the theorem gives and does not re-check it per call; ``tests/`` and
 At p = 2 the description is complete: the spectrum is the closure of the
 coefficient values and the resolvent norm is the reciprocal gap.  For other
 exponents only the inclusion closure{a_n} within the spectrum is certified:
-outside it a bounded inverse symbol exists and is checked by composition,
-inside it Walsh functions are explicit (quasi-)eigenvectors.  No claim is
-ever emitted that the spectrum is exhausted for p != 2; a shift whose
-resolvent certificate fails numerically is reported as undetermined.
+outside it the inverse is the multiplier with symbol ``1/(a_n - lam)``
+(multipliers compose by the pointwise product of their symbols), returned
+with its kernel bound at resolution m; inside it Walsh functions are
+explicit (quasi-)eigenvectors.  No claim is ever emitted that the spectrum
+is exhausted for p != 2.  The composition identity itself is a theorem;
+``multiplier.compose_check``, ``tests/`` and ``walsh-lab verify`` own its
+rounding check.
 
 Compactness at finite resolution is diagnosed from truncation tails: the
 remainder norm tracks ``sup_{n > N} |a_n|``, which decays exactly when the
@@ -21,6 +24,7 @@ symbol values tend to zero.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, walsh_step
 from .metrics import pnorm
-from .multiplier import apply_diag, compose_residuals
+from .multiplier import apply_diag
 from .opnorm import NormEstimate, kernel_l1_upper, tail_norm
 from .symbols import ResolventSymbol, Symbol
 
@@ -36,16 +40,17 @@ INF = math.inf
 
 _WITNESS_SCAN = 1 << 16
 _MAX_WITNESSES = 12
-# ``membership_batch`` checks shifts in blocks of ``_BATCH_ELEMS // 2**m``
-# rows (32 at m = 10), so each complex array of a block is 512 KB.  On a
-# 2-vCPU x86-64 VM with a 2 MB L2 cache the reciprocal m = 10, p = 2,
-# 21 x 21 grid took 141-145 ms with this size, 161-176 ms with 2**16 and
-# 220-234 ms with 2**17 (180-198 ms with 2**13); blocks change speed only.
+# ``membership_batch`` bounds the kernels of p != 2 shifts in blocks of
+# ``_BATCH_ELEMS // 2**m`` rows (32 at m = 10), so each complex array of a
+# block is 512 KB.  On a 2-vCPU x86-64 VM with a 2 MB L2 cache, 21 x 21
+# p = 3 grids took (medians of 9, ms; 2**13 / 2**14 / 2**15 / 2**16 / 2**17)
+# 9.7 / 8.6 / 8.4 / 8.5 / 11.6 for alternating at m = 8 and
+# 45 / 38 / 36 / 35 / 54 for reciprocal at m = 10, where the run-to-run
+# spread is about 2 ms.  Blocks change speed only, never bytes.
 _BATCH_ELEMS = 1 << 15
 
 IN_SPECTRUM = "in_spectrum"
 IN_RESOLVENT = "in_resolvent"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,14 @@ class SpectralQuery:
 class MembershipCertificate:
     """Verdict for one shift plus the evidence backing it.
 
-    In the resolvent case: the certified gap, the inverse symbol, the
-    composition residual on a seeded test function and (for p != 2) the
-    kernel bound ``||k_b||_1`` at resolution m (``k_b = fwht(b) / 2**m``,
-    rounded up by its error bound), an upper bound on the p -> p norm of the
-    inverse there; see ``kernel_l1_upper``.  In the spectrum
-    case: indices whose coefficient values approach the shift, each one a
-    norm-one Walsh quasi-eigenvector with residual exactly |a_n - lam|.
+    In the resolvent case: the certified gap, the inverse symbol
+    ``b_n = 1/(a_n - lam)`` (``b (a - lam) = 1`` pointwise, so its multiplier
+    inverts the shifted operator) and, for p != 2, the kernel bound
+    ``||k_b||_1`` at resolution m (``k_b = fwht(b) / 2**m``, rounded up by
+    its error bound), an upper bound on the p -> p norm of the inverse
+    there; see ``kernel_l1_upper``.  In the spectrum case: indices whose
+    coefficient values approach the shift, each one a norm-one Walsh
+    quasi-eigenvector with residual exactly |a_n - lam|.
     """
 
     verdict: str
@@ -84,7 +90,6 @@ class MembershipCertificate:
     p: float
     delta: float
     resolvent: Symbol | None = None
-    compose_residual: float | None = None
     lp_upper: float | None = None
     witness_indices: list[int] = field(default_factory=list)
     witness_gaps: list[float] = field(default_factory=list)
@@ -118,30 +123,35 @@ class SpectralReport:
     point_spectrum: np.ndarray
     membership: MembershipCertificate
     resolvent_norm_l2: float
-    lp_resolvent_upper: float | None
     compactness: str
     accumulation_check: str  # 'pass' | 'fail' | 'n/a'
 
     def to_json_dict(self) -> dict:
-        """JSON-ready dict; ``point_spectrum`` becomes ``[[n, [re, im]], ...]``
-        with one pair per index n < 2**m."""
+        """JSON-ready dict.  ``point_spectrum`` becomes ``{"count": 2**m,
+        "head": [[n, [re, im]], ...], "sha256": ...}``: the pairs for the
+        first ``min(2**m, 8)`` indices and the digest of all the values'
+        complex128 bytes, which ``point_spectrum(sym, res)`` reproduces."""
         cert = self.membership
+        values = np.ascontiguousarray(self.point_spectrum, dtype=np.complex128)
+        head = values[:8].tolist()
         return {
             "family": self.family,
             "m": self.m,
-            "point_spectrum": [[n, [z.real, z.imag]] for n, z in enumerate(self.point_spectrum.tolist())],
+            "point_spectrum": {
+                "count": len(values),
+                "head": [[n, [z.real, z.imag]] for n, z in enumerate(head)],
+                "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
+            },
             "membership": {
                 "verdict": cert.verdict,
                 "lambda": [cert.lam.real, cert.lam.imag],
                 "p": cert.p,
                 "delta": cert.delta,
-                "compose_residual": cert.compose_residual,
                 "lp_upper": cert.lp_upper,
                 "witness_indices": cert.witness_indices,
                 "witness_gaps": cert.witness_gaps,
             },
             "resolvent_norm_l2": None if self.resolvent_norm_l2 == INF else self.resolvent_norm_l2,
-            "lp_resolvent_upper": self.lp_resolvent_upper,
             "compactness": self.compactness,
             "accumulation_check": self.accumulation_check,
         }
@@ -170,10 +180,7 @@ def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
 
     Exactly one of the verdicts holds: a certified gap above the query
     tolerance yields the resolvent verdict, anything at or below it the
-    spectrum verdict.  The undetermined verdict appears only if a resolvent
-    certificate unexpectedly fails its own composition check.  The
-    composition is tested on one complex-normal function drawn with seed 7.
-    This is the one-shift case of ``membership_batch``.
+    spectrum verdict.  This is the one-shift case of ``membership_batch``.
     """
     return membership_batch(sym, [query])[0]
 
@@ -181,13 +188,14 @@ def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
 def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
     """``membership`` for many shifts at one resolution, in query order.
 
-    The resolvent shifts are checked together: their inverse diagonals
-    ``1/(a_n - lam)`` form a ``(shifts, 2**m)`` batch, and the composition
-    residuals and kernel bounds are a few batched transforms and norms per
-    block of ``_BATCH_ELEMS // 2**m`` rows.  A batch row of ``fwht`` and
-    ``pnorm`` is bit for bit the row on its own, so every certificate is the
-    one its shift gets alone.  The witness scan values are computed once
-    for all spectrum shifts, and each witness gap is read off the scan.
+    A resolvent shift gets its inverse symbol as the theorem gives it; no
+    transform runs for it at p = 2.  At p != 2 the inverse diagonals
+    ``1/(a_n - lam)`` form a ``(shifts, 2**m)`` batch, and the kernel bounds
+    are one batched transform and norm per block of ``_BATCH_ELEMS // 2**m``
+    rows.  A batch row of ``fwht`` and ``pnorm`` is bit for bit the row on
+    its own, so every certificate is the one its shift gets alone.  The
+    witness scan values are computed once for all spectrum shifts, and each
+    witness gap is read off the scan.
     """
     queries = list(queries)
     if not queries:
@@ -195,42 +203,29 @@ def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
     m = queries[0].m
     if any(q.m != m for q in queries):
         raise ValueError("membership_batch needs one resolution m for all queries")
-    res = Resolution(m)
-    dim = res.dim
-    a = sym.values(dim)
+    dim = Resolution(m).dim
     lams = [complex(q.lam) for q in queries]
     deltas = [sym.closure_distance(lam) for lam in lams]
     certs: list[MembershipCertificate | None] = [None] * len(queries)
 
     outside = [i for i, q in enumerate(queries) if deltas[i] > q.tolerance]
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    bounded = [i for i in outside if queries[i].p != 2.0]
+    uppers: dict[int, float] = {}
+    a = sym.values(dim)
     rows = max(1, _BATCH_ELEMS // dim)
-    for lo in range(0, len(outside), rows):
-        block = outside[lo : lo + rows]
+    for lo in range(0, len(bounded), rows):
+        block = bounded[lo : lo + rows]
         shifts = np.array([lams[i] for i in block])
-        b = 1.0 / (a - shifts[:, None])
-        residuals = compose_residuals(a, b, shifts, f)
-        if any(queries[i].p != 2.0 for i in block):
-            uppers = kernel_l1_upper(b).tolist()
-        else:
-            uppers = [None] * len(block)
-        for i, residual, upper in zip(block, residuals.tolist(), uppers):
-            q, delta = queries[i], deltas[i]
-            # Residual scales like 1/delta; anything far beyond that means the
-            # certificate did not actually invert the operator.
-            verdict = IN_RESOLVENT
-            if residual > 1e-6 * max(1.0, 1.0 / delta):
-                verdict = UNDETERMINED
-            certs[i] = MembershipCertificate(
-                verdict=verdict,
-                lam=lams[i],
-                p=q.p,
-                delta=delta,
-                resolvent=ResolventSymbol(sym, lams[i], delta),
-                compose_residual=residual,
-                lp_upper=None if q.p == 2.0 else upper,
-            )
+        uppers.update(zip(block, kernel_l1_upper(1.0 / (a - shifts[:, None])).tolist()))
+    for i in outside:
+        certs[i] = MembershipCertificate(
+            verdict=IN_RESOLVENT,
+            lam=lams[i],
+            p=queries[i].p,
+            delta=deltas[i],
+            resolvent=ResolventSymbol(sym, lams[i], deltas[i]),
+            lp_upper=uppers.get(i),
+        )
 
     inside = [i for i, cert in enumerate(certs) if cert is None]
     scan = sym.values(_WITNESS_SCAN) if inside else None
@@ -385,7 +380,6 @@ def spectral_report(sym: Symbol, query: SpectralQuery) -> SpectralReport:
         point_spectrum=point_spectrum(sym, res),
         membership=cert,
         resolvent_norm_l2=resolvent_norm_l2(sym, query.lam),
-        lp_resolvent_upper=cert.lp_upper,
         compactness="compact" if sym.is_c0 else "not_compact",
         accumulation_check=acc,
     )

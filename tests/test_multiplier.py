@@ -20,6 +20,7 @@ from walsh_lab import (
     compose_check,
     pnorm,
     random_explicit_symbol,
+    resolvent_symbol,
     truncate,
     walsh_step,
 )
@@ -180,6 +181,45 @@ def test_compose_check_reciprocal_and_alternating():
     f = rand_step(rng, 8)
     assert compose_check(ReciprocalSymbol(), 2.0, f) < 1e-10
     assert compose_check(AlternatingSymbol(), 3.0, f) < 1e-10
+
+
+# One shift at a time, on 1-D operands, as the composition check was first
+# written: the byte reference for ``compose_check``.
+def _compose_check_reference(sym, lam, f, tolerance=1e-12):
+    res = f.resolution
+    b, _ = resolvent_symbol(sym, lam, tolerance)
+    a_diag = sym.values(res.dim)
+    b_diag = b.values(res.dim)
+    w = 2.0**-res.m
+
+    shifted = apply_diag(a_diag, f.values) - lam * f.values
+    left = apply_diag(b_diag, shifted) - f.values
+
+    inv = apply_diag(b_diag, f.values)
+    right = apply_diag(a_diag, inv) - lam * inv - f.values
+
+    return max(pnorm(left, 2.0, w), pnorm(right, 2.0, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["reciprocal", "alternating", "geometric", "explicit"]),
+    m=st.integers(0, 10),
+    lam=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="alternating", m=0, lam=0.5625 + 1j, seed=7)
+def test_compose_check_matches_one_shift_reference(family, m, lam, seed):
+    sym = {
+        "reciprocal": ReciprocalSymbol(),
+        "alternating": AlternatingSymbol(),
+        "geometric": GeometricSymbol(0.6 + 0.3j),
+        "explicit": ExplicitSymbol([2.0, -0.5j, 1 + 1j], "zero"),
+    }[family]
+    if sym.closure_distance(lam) <= 1e-12:
+        return
+    f = rand_step(np.random.default_rng(seed), m)
+    assert compose_check(sym, lam, f) == _compose_check_reference(sym, lam, f)
 
 
 def test_compose_check_propagates_gap_errors():

@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
+import importlib
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,6 +23,7 @@ from walsh_lab import (
     UnitDiracSymbol,
     apply_diag,
     compactness_report,
+    compose_check,
     membership,
     membership_batch,
     opnorm,
@@ -33,16 +38,17 @@ from walsh_lab import (
     walsh_step,
 )
 from walsh_lab import spectral
+from walsh_lab.dyadic import fwht
 from walsh_lab.spectral import (
     _MAX_WITNESSES,
     _WITNESS_SCAN,
     IN_RESOLVENT,
     IN_SPECTRUM,
-    UNDETERMINED,
     MembershipCertificate,
 )
 
 _EPS = np.finfo(np.float64).eps
+_OPNORM = importlib.import_module("walsh_lab.opnorm")
 
 
 def test_point_spectrum_constant():
@@ -58,10 +64,18 @@ def test_point_spectrum_reciprocal():
 def test_point_spectrum_is_the_symbol_values_at_m20():
     sym = ReciprocalSymbol()
     assert np.array_equal(point_spectrum(sym, Resolution(20)), sym.values(1 << 20))
-    doc = spectral_report(sym, SpectralQuery(2.0, p=3.0, m=16)).to_json_dict()
-    assert len(doc["point_spectrum"]) == 65536
-    assert doc["point_spectrum"][3] == [3, [0.25, 0.0]]
-    json.dumps(doc)
+    doc = spectral_report(sym, SpectralQuery(2.0, p=3.0, m=20)).to_json_dict()
+    spectrum = doc["point_spectrum"]
+    assert spectrum["count"] == 1 << 20
+    assert spectrum["head"] == [[n, [1 / (n + 1), 0.0]] for n in range(8)]
+    assert spectrum["sha256"] == hashlib.sha256(sym.values(1 << 20).tobytes()).hexdigest()
+    assert len(json.dumps(doc)) < 2000
+
+
+def test_spectral_report_json_bytes_are_pinned():
+    doc = spectral_report(ReciprocalSymbol(), SpectralQuery(2.0, p=3.0, m=6)).to_json_dict()
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "19df1b94d23c09ee810f139812838583b047efc67fa5a548fe266530dd3655ae"
 
 
 def test_spectral_layer_refuses_resolutions_above_the_transform_cap():
@@ -90,7 +104,7 @@ def test_membership_alternating_resolvent_point():
     cert = membership(AlternatingSymbol(), SpectralQuery(0.0, p=1.5, m=6))
     assert cert.verdict == IN_RESOLVENT
     assert cert.delta == pytest.approx(1.0)
-    assert cert.compose_residual < 1e-10
+    assert compose_check(AlternatingSymbol(), 0.0, _seeded_function(Resolution(6))) < 1e-10
     assert cert.lp_upper is not None and cert.lp_upper >= 1.0
 
 
@@ -255,26 +269,15 @@ def test_spectral_report_serializes():
     assert doc2["accumulation_check"] == "n/a"
     assert doc2["resolvent_norm_l2"] is None  # infinite resolvent norm
 
-
-# The one-shift-at-a-time membership that ``membership_batch`` replaced,
-# with the composition check and the kernel bound it called inlined as they
-# were: the byte reference for the batched path.
-def _compose_check_reference(sym, lam, f, tolerance=1e-12):
-    res = f.resolution
-    b, _ = resolvent_symbol(sym, lam, tolerance)
-    a_diag = sym.values(res.dim)
-    b_diag = b.values(res.dim)
-    w = 2.0**-res.m
-
-    shifted = apply_diag(a_diag, f.values) - lam * f.values
-    left = apply_diag(b_diag, shifted) - f.values
-
-    inv = apply_diag(b_diag, f.values)
-    right = apply_diag(a_diag, inv) - lam * inv - f.values
-
-    return max(pnorm(left, 2.0, w), pnorm(right, 2.0, w))
+    # Fewer than 8 indices: the head holds them all.
+    small = spectral_report(AlternatingSymbol(), SpectralQuery(0.5, m=2)).to_json_dict()["point_spectrum"]
+    assert small["count"] == 4
+    assert small["head"] == [[0, [1.0, 0.0]], [1, [-1.0, 0.0]], [2, [1.0, 0.0]], [3, [-1.0, 0.0]]]
 
 
+# The one-shift-at-a-time membership that ``membership_batch`` replaced, with
+# the kernel bound it called inlined as it was: the byte reference for the
+# batched path.
 def _opnorm_upper_interpolated_reference(sym, res, p):
     value = opnorm(sym, res, 1.0, 1.0).value
     return value * (1.0 + (res.m + 4) * res.dim * _EPS)
@@ -287,26 +290,15 @@ def _membership_reference(sym, query):
 
     if delta > query.tolerance:
         b, delta = resolvent_symbol(sym, lam, query.tolerance)
-        rng = np.random.default_rng(7)
-        f = StepFunction(
-            res, rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim)
-        )
-        residual = _compose_check_reference(sym, lam, f, query.tolerance)
         lp_upper = None
         if query.p != 2.0:
             lp_upper = _opnorm_upper_interpolated_reference(b, res, query.p)
-        # Residual scales like 1/delta; anything far beyond that means the
-        # certificate did not actually invert the operator.
-        verdict = IN_RESOLVENT
-        if residual > 1e-6 * max(1.0, 1.0 / delta):
-            verdict = UNDETERMINED
         return MembershipCertificate(
-            verdict=verdict,
+            verdict=IN_RESOLVENT,
             lam=lam,
             p=query.p,
             delta=delta,
             resolvent=b,
-            compose_residual=residual,
             lp_upper=lp_upper,
         )
 
@@ -370,8 +362,7 @@ def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits
     assert len(got) == len(queries)
     for cert, query in zip(got, queries):
         want = _membership_reference(sym, query)
-        for name in ("verdict", "lam", "p", "delta", "compose_residual", "lp_upper",
-                     "witness_indices", "witness_gaps"):
+        for name in ("verdict", "lam", "p", "delta", "lp_upper", "witness_indices", "witness_gaps"):
             assert getattr(cert, name) == getattr(want, name), name
         if want.resolvent is None:
             assert cert.resolvent is None
@@ -387,8 +378,98 @@ def test_membership_batch_covers_both_branches_at_m8():
     assert [c.verdict for c in got] == [IN_SPECTRUM, IN_RESOLVENT, IN_SPECTRUM, IN_RESOLVENT]
     for cert, query in zip(got, queries):
         want = _membership_reference(sym, query)
-        assert (cert.delta, cert.compose_residual, cert.lp_upper, cert.witness_gaps) == (
-            want.delta, want.compose_residual, want.lp_upper, want.witness_gaps)
+        assert (cert.delta, cert.lp_upper, cert.witness_gaps) == (
+            want.delta, want.lp_upper, want.witness_gaps)
+
+
+def _seeded_function(res, seed=7):
+    rng = np.random.default_rng(seed)
+    return StepFunction(res, rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim))
+
+
+# Multipliers compose by the pointwise product of their symbols, so
+# ``b (a - lam) = 1`` is a theorem and ``membership_batch`` does not re-check
+# it.  This is the rounding check it used to run on every resolvent shift,
+# at its threshold: the residual scales like 1/delta.
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_GRID_FAMILIES)),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    m=st.integers(0, 10),
+    free=st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False), max_size=3),
+    near=st.lists(
+        st.tuples(st.integers(0, 1 << 10), st.floats(-11.0, -3.0), st.floats(0.0, 2 * math.pi)),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="reciprocal", p=2.0, m=10, free=[2.0], near=[(1, -11.0, 0.0), (0, -11.0, math.pi)], seed=7)
+def test_resolvent_certificates_pass_the_composition_check(family, p, m, free, near, seed):
+    make, spectrum = _GRID_FAMILIES[family]
+    sym = make()
+    # Shifts 1e-11 to 1e-3 from a spectrum point or a coefficient value.
+    centers = [*spectrum, *sym.values(1 << 10)]
+    lams = [*free, *(centers[k % len(centers)] + 10.0**e * complex(math.cos(t), math.sin(t)) for k, e, t in near)]
+    res = Resolution(m)
+    f = _seeded_function(res, seed)
+    certs = membership_batch(sym, [SpectralQuery(lam, p=p, m=m) for lam in lams])
+    for cert in certs:
+        if cert.verdict == IN_RESOLVENT:
+            residual = compose_check(sym, cert.lam, f)
+            assert residual <= 1e-6 * max(1.0, 1.0 / cert.delta), (cert.lam, cert.delta, residual)
+
+
+def _no_transform(values, *args, **kwargs):
+    raise AssertionError(f"ran a transform of shape {np.shape(values)}")
+
+
+@contextlib.contextmanager
+def _transforms(opnorm_fwht):
+    """``fwht`` raises in every walsh_lab module but ``opnorm``, the home
+    of ``kernel_l1_upper``, where it is ``opnorm_fwht``."""
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "walsh_lab"]
+    with contextlib.ExitStack() as stack:
+        for mod in modules:
+            if hasattr(mod, "fwht"):
+                stack.enter_context(mock.patch.object(mod, "fwht", _no_transform))
+        stack.enter_context(mock.patch.object(_OPNORM, "fwht", opnorm_fwht))
+        yield
+
+
+def _grid(sym, p, m, steps=21):
+    return [SpectralQuery(complex(re, im), p=p, m=m)
+            for im in np.linspace(-1.0, 1.0, steps) for re in np.linspace(-2.0, 2.0, steps)]
+
+
+def test_membership_batch_at_p2_runs_no_transform():
+    sym = ReciprocalSymbol()
+    queries = _grid(sym, 2.0, 10)
+    want = membership_batch(sym, queries)
+    with _transforms(_no_transform):
+        got = membership_batch(sym, queries)
+    assert [c.verdict for c in got] == [c.verdict for c in want]
+    assert IN_RESOLVENT in {c.verdict for c in got} and IN_SPECTRUM in {c.verdict for c in got}
+    assert all(c.lp_upper is None for c in got)
+
+
+def test_membership_batch_bounds_each_block_with_one_transform():
+    sym = AlternatingSymbol()
+    queries = _grid(sym, 3.0, 8)
+    want = membership_batch(sym, queries)
+    shapes = []
+
+    def counting(values, *args, **kwargs):
+        shapes.append(np.shape(values))
+        return fwht(values, *args, **kwargs)
+
+    with _transforms(counting):
+        got = membership_batch(sym, queries)
+    assert [(c.verdict, c.lp_upper) for c in got] == [(c.verdict, c.lp_upper) for c in want]
+    outside = sum(c.verdict == IN_RESOLVENT for c in got)
+    rows = spectral._BATCH_ELEMS >> 8
+    assert outside > 2 * rows
+    blocks = [(min(rows, outside - lo), 256) for lo in range(0, outside, rows)]
+    assert shapes == blocks
 
 
 def test_membership_batch_refuses_mixed_resolutions():
