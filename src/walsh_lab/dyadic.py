@@ -20,6 +20,8 @@ Conventions:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +55,11 @@ _INT64_MAX = 2**63 - 1
 # Bytes of one ``fwht`` block taken through its remaining stages while it
 # stays in cache.  A block and its ping-pong partner (1 MB together) fit the
 # 2 MB per-core L2 of the 2-core Xeon (Sapphire Rapids) this was sized on.
-# Median of 7 m = 20 complex transforms by tile size: 32 KB 150 ms, 128 KB
-# 96, 256 KB 84, 512 KB 78, 1 MB 93, 2 MB 98, untiled 161.
+# Median of 7 m = 20 complex transforms by tile size, one thread: 32 KB
+# 150 ms, 128 KB 96, 256 KB 84, 512 KB 78, 1 MB 93, 2 MB 98, untiled 161.
+# Shared with the worker (three runs; untiled runs on one thread): 32 KB
+# 115-119 ms, 128 KB 55-62, 256 KB 36-42, 512 KB 29-35, 1 MB 30-40, 2 MB
+# 35-44, untiled 100-118, against 51-52 at 512 KB on one thread that hour.
 FWHT_TILE_BYTES = 1 << 19
 
 
@@ -234,6 +239,18 @@ def fwht(values, /) -> np.ndarray:
     reorders whole stages across disjoint blocks: every add and subtract
     keeps its operands and the buffer it writes, so the output bytes, dtype
     and strides do not depend on the tile size.
+
+    Past one tile the calling thread shares the work with one worker
+    thread.  Stage 0 writes its sums to the first half of the buffer and
+    its differences to the second, and every later stage acts inside one
+    half, so the caller computes the sums and takes the first half through
+    the remaining stages (and its ``2**(s - 1)`` blocks), the worker the
+    differences and the second half, and the two join once.  The sharing
+    moves no add or subtract to other operands or another buffer, so the
+    bytes are those of one thread.  The worker starts on the first
+    multi-tile transform, never where fewer than 2 CPUs are usable; a
+    transform that finds it serving another thread's transform runs on its
+    own thread alone.
     """
     a = np.asarray(values)
     if a.ndim == 0:
@@ -267,17 +284,15 @@ def fwht(values, /) -> np.ndarray:
     split = 0
     while split < m and out.nbytes >> split > FWHT_TILE_BYTES:
         split += 1
-    # Stages before the split stream the whole buffer.  Every later stage
-    # acts inside blocks of ``n >> split`` cells, so each block runs them all
-    # while it sits in cache.  One tile (split 0) is one block: every stage
-    # runs on the whole buffer, with no slicing.
-    head = split or m
-    src = _butterfly_stages(src, out, spare, 0, head, m, dtype)
-    if head < m:
-        size = n >> head
-        for lo in range(0, n, size):
-            block = slice(lo, lo + size)
-            _butterfly_stages(src[block], out[block], spare[block], head, m, m, dtype)
+    if split and _worker_lock.acquire(blocking=False):
+        try:
+            worker = _worker()
+            if worker is not None:
+                _shared_transform(worker, src, out, spare, split, m, dtype)
+                return out.T.reshape(a.shape)
+        finally:
+            _worker_lock.release()
+    _tiled_stages(src, out, spare, 0, split, m, dtype)
     return out.T.reshape(a.shape)
 
 
@@ -305,14 +320,110 @@ def _butterfly_stages(src, out, spare, first, stop, m, dtype):
     return src
 
 
+def _tiled_stages(src, out, spare, first, split, m, dtype):
+    """Stages ``first .. m - 1`` on a block that stage ``first`` treats as a
+    single group.  Stages before ``split`` stream the whole block; after
+    them every block of ``N >> split`` cells runs the remaining stages
+    while it sits in cache.  ``split <= first`` (one tile) runs every stage
+    on the whole block, with no slicing."""
+    if split <= first:
+        _butterfly_stages(src, out, spare, first, m, m, dtype)
+        return
+    src = _butterfly_stages(src, out, spare, first, split, m, dtype)
+    size = out.shape[0] >> (split - first)
+    for lo in range(0, out.shape[0], size):
+        block = slice(lo, lo + size)
+        _butterfly_stages(src[block], out[block], spare[block], split, m, m, dtype)
+
+
+def _half_transform(ufunc, pairs, dst, out, spare, split, m, dtype):
+    """Stage 0's sums (``np.add``) or differences (``np.subtract``) of the
+    neighbouring ``pairs`` into ``dst``, its half of the buffer, then
+    stages ``1 .. m - 1`` on that half alone."""
+    ufunc(pairs[:, 0], pairs[:, 1], out=dst, dtype=dtype)
+    _tiled_stages(dst, out, spare, 1, split, m, dtype)
+
+
+def _shared_transform(worker, src, out, spare, split, m, dtype):
+    """``fwht``'s stages on a buffer of ``2**split`` tiles, shared between
+    the calling thread and ``worker``.  Stage 0 writes the sums of
+    neighbouring pairs to the first half of the buffer and their
+    differences to the second, and every later stage acts inside one half:
+    the caller computes the sums and then transforms the first half, the
+    worker the differences and then the second half, with one join at the
+    end.  Every add and subtract keeps its operands and the buffer it
+    writes, so the bytes are those of one thread."""
+    n, rows = out.shape
+    half = n >> 1
+    pairs = src.reshape(half, 2, rows)
+    dst = out if m % 2 else spare
+    job = worker.submit(_half_transform, np.subtract, pairs, dst[half:], out[half:], spare[half:], split, m, dtype)
+    _half_transform(np.add, pairs, dst[:half], out[:half], spare[:half], split, m, dtype)
+    job.result()
+
+
+# One worker thread shares multi-tile transforms with the calling thread.
+# It starts on the first such transform, never where fewer than 2 CPUs are
+# usable.  A caller takes it with a non-blocking lock, so a transform that
+# finds it busy (another thread's) runs serially instead of queueing: the
+# worker adds one thread to the callers', whatever their number.
+_worker_lock = threading.Lock()
+_worker_pool = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker():
+    """The shared worker (an executor of one thread), or None where fewer
+    than 2 CPUs are usable.  Call with ``_worker_lock`` held."""
+    global _worker_pool
+    if _worker_pool is None and _usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker_pool = ThreadPoolExecutor(1, thread_name_prefix="walsh_lab-fwht")
+    return _worker_pool
+
+
+def _forget_worker() -> None:
+    # A forked child has no copy of the worker thread, and the lock may have
+    # been held by a thread that is gone too.
+    global _worker_lock, _worker_pool
+    _worker_lock = threading.Lock()
+    _worker_pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _scale(ufunc, x: np.ndarray, factor) -> np.ndarray:
+    """``ufunc(x, factor)`` for a fresh transform x that nobody else holds,
+    written over x when that gives the same bytes: x is float or complex
+    with more than one element, and the result keeps its dtype and shape.
+    numpy multiplies a lone complex element in place by a different loop,
+    which can move its last bit, and an integer x divides to float."""
+    if (
+        x.dtype.kind in "fc"
+        and x.size > 1
+        and np.result_type(x, factor) == x.dtype
+        and np.broadcast_shapes(x.shape, np.shape(factor)) == x.shape
+    ):
+        return ufunc(x, factor, out=x)
+    return ufunc(x, factor)
+
+
 def analysis(f: StepFunction) -> CoeffVector:
     """Walsh-Fourier coefficients ``f_hat(n) = int_0^1 f W_n dx``.
 
     Exact for step functions: both factors are constant on each cell, so the
     integral is ``2**-m`` times a signed sum of the cell values.
     """
-    dim = f.resolution.dim
-    return CoeffVector(f.resolution, fwht(f.values) / dim)
+    return CoeffVector(f.resolution, _scale(np.divide, fwht(f.values), f.resolution.dim))
 
 
 def synthesis(c: CoeffVector) -> StepFunction:

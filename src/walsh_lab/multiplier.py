@@ -16,6 +16,7 @@ import numpy as np
 from .dyadic import (
     Resolution,
     StepFunction,
+    _scale,
     fwht,
 )
 from .metrics import pnorm
@@ -30,16 +31,18 @@ def apply_diag(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Multiplier with coefficient diagonal ``diag`` applied to cell values.
 
     Batched over leading axes.  Exact on Walsh functions: the only rounding
-    is the butterfly's, and divisions are by powers of two.
+    is the butterfly's, and divisions are by powers of two.  Both scalings
+    write over the transform they scale where that keeps the bytes (see
+    ``dyadic._scale``), which saves two arrays the size of the result.
     """
-    dim = diag.shape[-1]
-    return fwht(fwht(values) * diag) / dim
+    scaled = _scale(np.multiply, fwht(values), diag)
+    return _scale(np.divide, fwht(scaled), diag.shape[-1])
 
 
 def kernel(diag: np.ndarray) -> np.ndarray:
     """Dyadic convolution kernel ``k = fwht(diag) / N``: every row and every
     column of the cell-space matrix is a permutation of it."""
-    return fwht(diag) / diag.shape[-1]
+    return _scale(np.divide, fwht(diag), diag.shape[-1])
 
 
 def kernel_matrix(diag: np.ndarray) -> np.ndarray:

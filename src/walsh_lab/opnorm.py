@@ -626,7 +626,7 @@ class _Start:
         self.size = 1
         self.improved = False
 
-    def move(self, i: int, value: complex, transform: np.ndarray) -> None:
+    def move(self, i: int, value: complex, transform: np.ndarray | None) -> None:
         """Set ``x_i`` and the transform estimate, one update further on."""
         self.x[i] = value
         self.transform = transform
@@ -711,9 +711,10 @@ def _replay(st: _Start, idx, rows: np.ndarray, signs: np.ndarray, lo, hi, cap: i
     """Sweep the coordinates ``idx`` of a start in order, from the brackets
     ``lo``, ``hi`` of their moves (as ``_screen`` returns them), until a move
     is kept.  A kept move updates the vector, the transform estimate (the
-    candidate's estimated row) and the start's bracket.  Returns None after
-    moving the start past the coordinates it decided, else the position in
-    ``idx`` of the first coordinate a bracket left open."""
+    candidate's estimated row, or None when ``rows`` is None: no screen ran)
+    and the start's bracket.  Returns None after moving the start past the
+    coordinates it decided, else the position in ``idx`` of the first
+    coordinate a bracket left open."""
     for j, i in enumerate(idx):
         lo4 = (st.lo, *lo[j])
         hi4 = (st.hi, *hi[j])
@@ -722,7 +723,7 @@ def _replay(st: _Start, idx, rows: np.ndarray, signs: np.ndarray, lo, hi, cap: i
             return j
         keep, turns = swept
         if turns:
-            st.move(i, keep, rows[j, _ROW_OF_TURN[turns - 1]] * signs[j])
+            st.move(i, keep, None if rows is None else rows[j, _ROW_OF_TURN[turns - 1]] * signs[j])
             st.lo, st.hi = lo4[turns], hi4[turns]
             st.pos, st.size, st.improved = i + 1, 1, True
             return None
@@ -803,8 +804,9 @@ def constant_probe(
     coordinate.  A block without a kept move doubles the next, up to
     ``4 * PROBE_SPECULATION_MAX_DIM // 2**m`` coordinates, one above
     ``PROBE_SPECULATION_MAX_DIM``.  At hy p = 2 the ratio is 1 for every
-    vector (Parseval), every move ties within the bracket, and each block
-    falls back as a whole.
+    vector (Parseval) and every move would tie within the bracket, so no
+    screen runs: each block goes straight to exact rows, and the transform
+    estimates are not kept.
     """
     if inequality == "hy":
         p = hy_exponent(p)
@@ -848,18 +850,24 @@ def constant_probe(
         _Start(x, transform, float(ratios[row]), form)
         for x, transform, row in zip(xs, fwht(xs), order)
     ]
+    # Both norms L^2: every ratio is 1 up to rounding (Parseval), so every
+    # screened move would tie within its bracket.
+    parseval = form.num_p == form.den_p == 2.0
     active = list(starts)
     while active:
         blocks = [(st, np.arange(st.pos, st.pos + min(st.size, dim - st.pos))) for st in active]
-        undecided = []
-        rows, signs, lo, hi = _screen(form, rev, blocks)
-        at = 0
-        for st, idx in blocks:
-            stop = at + idx.size
-            j = _replay(st, idx.tolist(), rows[at:stop], signs[at:stop], lo[at:stop], hi[at:stop], cap)
-            if j is not None:
-                undecided.append((st, idx[j:], rows[at + j : stop], signs[at + j : stop]))
-            at = stop
+        if parseval:
+            undecided = [(st, idx, None, None) for st, idx in blocks]
+        else:
+            undecided = []
+            rows, signs, lo, hi = _screen(form, rev, blocks)
+            at = 0
+            for st, idx in blocks:
+                stop = at + idx.size
+                j = _replay(st, idx.tolist(), rows[at:stop], signs[at:stop], lo[at:stop], hi[at:stop], cap)
+                if j is not None:
+                    undecided.append((st, idx[j:], rows[at + j : stop], signs[at + j : stop]))
+                at = stop
         if undecided:
             # The rest of each block, and the vector whose ratio is a bracket.
             exact_rows = []

@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -78,11 +80,9 @@ class MembershipCertificate:
     In the resolvent case: the certified gap, the inverse symbol
     ``b_n = 1/(a_n - lam)`` (``b (a - lam) = 1`` pointwise, so its multiplier
     inverts the shifted operator) and, for p != 2, the kernel bound
-    ``||k_b||_1`` at resolution m (``k_b = fwht(b) / 2**m``, rounded up by
-    its error bound), an upper bound on the p -> p norm of the inverse
-    there; see ``kernel_l1_upper``.  In the spectrum case: indices whose
-    coefficient values approach the shift, each one a norm-one Walsh
-    quasi-eigenvector with residual exactly |a_n - lam|.
+    ``lp_upper``.  In the spectrum case: indices whose coefficient values
+    approach the shift, each one a norm-one Walsh quasi-eigenvector with
+    residual exactly |a_n - lam|.
     """
 
     verdict: str
@@ -90,9 +90,17 @@ class MembershipCertificate:
     p: float
     delta: float
     resolvent: Symbol | None = None
-    lp_upper: float | None = None
     witness_indices: list[int] = field(default_factory=list)
     witness_gaps: list[float] = field(default_factory=list)
+    _bound: Callable[[], float | None] = field(default=lambda: None, repr=False, compare=False)
+
+    @property
+    def lp_upper(self) -> float | None:
+        """For a p != 2 resolvent shift the kernel bound ``||k_b||_1`` at
+        resolution m (``k_b = fwht(b) / 2**m``, rounded up by its error
+        bound), an upper bound on the p -> p norm of the inverse there (see
+        ``kernel_l1_upper``); None otherwise.  Computed on first read."""
+        return self._bound()
 
 
 @dataclass
@@ -188,14 +196,15 @@ def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
 def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
     """``membership`` for many shifts at one resolution, in query order.
 
-    A resolvent shift gets its inverse symbol as the theorem gives it; no
-    transform runs for it at p = 2.  At p != 2 the inverse diagonals
-    ``1/(a_n - lam)`` form a ``(shifts, 2**m)`` batch, and the kernel bounds
-    are one batched transform and norm per block of ``_BATCH_ELEMS // 2**m``
-    rows.  A batch row of ``fwht`` and ``pnorm`` is bit for bit the row on
-    its own, so every certificate is the one its shift gets alone.  The
-    witness scan values are computed once for all spectrum shifts, and each
-    witness gap is read off the scan.
+    A resolvent shift gets its inverse symbol as the theorem gives it, and
+    no transform runs until a p != 2 certificate's ``lp_upper`` is read.
+    The first such read bounds every p != 2 resolvent shift of the call:
+    the inverse diagonals ``1/(a_n - lam)`` form a ``(shifts, 2**m)``
+    batch, and the kernel bounds are one batched transform and norm per
+    block of ``_BATCH_ELEMS // 2**m`` rows.  A batch row of ``fwht`` and
+    ``pnorm`` is bit for bit the row on its own, so every certificate is the
+    one its shift gets alone.  The witness scan values are computed once for
+    all spectrum shifts, and each witness gap is read off the scan.
     """
     queries = list(queries)
     if not queries:
@@ -210,13 +219,22 @@ def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
 
     outside = [i for i, q in enumerate(queries) if deltas[i] > q.tolerance]
     bounded = [i for i in outside if queries[i].p != 2.0]
-    uppers: dict[int, float] = {}
-    a = sym.values(dim)
-    rows = max(1, _BATCH_ELEMS // dim)
-    for lo in range(0, len(bounded), rows):
-        block = bounded[lo : lo + rows]
-        shifts = np.array([lams[i] for i in block])
-        uppers.update(zip(block, kernel_l1_upper(1.0 / (a - shifts[:, None])).tolist()))
+    uppers: list[dict[int, float]] = []
+
+    def upper(i: int) -> float:
+        # Every bound of the batch at the first read of any.  Concurrent
+        # first reads compute the same table, and each reads a whole one.
+        if not uppers:
+            a = sym.values(dim)
+            rows = max(1, _BATCH_ELEMS // dim)
+            table = {}
+            for lo in range(0, len(bounded), rows):
+                block = bounded[lo : lo + rows]
+                shifts = np.array([lams[j] for j in block])
+                table.update(zip(block, kernel_l1_upper(1.0 / (a - shifts[:, None])).tolist()))
+            uppers.append(table)
+        return uppers[0][i]
+
     for i in outside:
         certs[i] = MembershipCertificate(
             verdict=IN_RESOLVENT,
@@ -224,8 +242,9 @@ def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
             p=queries[i].p,
             delta=deltas[i],
             resolvent=ResolventSymbol(sym, lams[i], deltas[i]),
-            lp_upper=uppers.get(i),
         )
+    for i in bounded:
+        certs[i]._bound = partial(upper, i)
 
     inside = [i for i, cert in enumerate(certs) if cert is None]
     scan = sym.values(_WITNESS_SCAN) if inside else None

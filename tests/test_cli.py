@@ -148,12 +148,25 @@ _SCIPY_MODULES = "print(sorted(n for n in sys.modules if n.split('.')[0] == 'sci
     "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
 ])
 def test_import_and_sweep_load_no_scipy(code):
+    assert _last_line_of_fresh_python(f"{code}\n{_SCIPY_MODULES}") == "[]"
+
+
+def test_import_and_small_fwht_start_no_thread():
+    # The transform worker starts on the first multi-tile transform only.
+    code = (
+        "import sys, threading, numpy as np, walsh_lab\n"
+        "walsh_lab.fwht(np.ones(1 << 10))\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    assert _last_line_of_fresh_python(code) == "1 False"
+
+
+def _last_line_of_fresh_python(code: str) -> str:
     src = str(Path(walsh_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{_SCIPY_MODULES}"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
 
 
 def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):

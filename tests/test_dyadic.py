@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -146,7 +151,9 @@ def _assert_fwht_matches_reference(x):
 def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, tile_log2, seed):
     # The tile size sets the split s at which blocks of ``N >> s`` cells run
     # their remaining stages alone; from one byte up to the default it
-    # reaches every s in 0..m.
+    # reaches every s in 0..m.  One usable CPU keeps every split on the
+    # calling thread; ``test_shared_fwht_bytes_match_radix2_reference``
+    # covers the shared path.
     rng = np.random.default_rng(seed)
     n = 1 << m
     if layout == "strided":
@@ -158,6 +165,8 @@ def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, tile_log2, se
     elif layout == "readonly":
         x.flags.writeable = False
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "_usable_cpus", lambda: 1)
+        mp.setattr(dyadic, "_worker_pool", None)
         mp.setattr(dyadic, "FWHT_TILE_BYTES", 1 << tile_log2)
         _assert_fwht_matches_reference(x)
 
@@ -167,6 +176,117 @@ def test_fwht_bytes_match_radix2_reference_past_one_tile(shape):
     # 16 MB of complex128: the default tile splits these transforms.
     rng = np.random.default_rng(21)
     _assert_fwht_matches_reference(_draw(rng, np.complex128, shape))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The shared worker, whatever this machine's CPU count."""
+    monkeypatch.setattr(dyadic, "_usable_cpus", lambda: 2)
+
+
+def _tile_for_split(x, split):
+    """``FWHT_TILE_BYTES`` at which ``fwht(x)`` splits its buffer at ``split``."""
+    itemsize = 16 if x.dtype.kind == "c" else 8
+    return (x.size * itemsize) >> split
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    dtype=st.sampled_from([np.bool_, np.uint8, np.int64, np.float64, np.complex128]),
+    lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
+    layout=st.sampled_from(["C", "T"]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Split s = m: every tile is one cell.
+@example(m=9, dtype=np.complex128, lead=(3,), layout="T", data=None, seed=0)
+def test_shared_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, data, seed):
+    # Every split from 1 to m takes the shared path; "T" is a transposed batch.
+    split = m if data is None else data.draw(st.integers(1, m), label="split")
+    rng = np.random.default_rng(seed)
+    x = _draw(rng, dtype, (*lead, 1 << m))
+    if layout == "T":
+        x = np.asfortranarray(x)
+    shared = []
+    real_shared = dyadic._shared_transform
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "_usable_cpus", lambda: 2)
+        mp.setattr(dyadic, "FWHT_TILE_BYTES", _tile_for_split(x, split))
+        mp.setattr(dyadic, "_shared_transform", lambda *args: shared.append(args[4]) or real_shared(*args))
+        _assert_fwht_matches_reference(x)
+    assert shared == [split]
+
+
+def test_fwht_from_two_threads_at_once_matches_serial(two_cpus):
+    # The worker serves one transform at a time; a caller that finds it
+    # taken runs serially, with the same bytes.
+    rng = np.random.default_rng(4)
+    inputs = [_draw(rng, np.complex128, (8, 1 << 13)), _draw(rng, np.float64, 1 << 17)]
+    want = [_fwht_radix2_reference(x).tobytes() for x in inputs]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def caller(k):
+        start.wait()
+        for _ in range(20):
+            got[k].append(fwht(inputs[k]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[0]] * 20, [want[1]] * 20]
+
+
+def test_fwht_runs_serially_while_another_transform_holds_the_worker(two_cpus):
+    x = _draw(np.random.default_rng(6), np.complex128, 1 << 16)
+    got = []
+    caller = threading.Thread(target=lambda: got.append(fwht(x)), daemon=True)
+    with mock.patch.object(dyadic, "_shared_transform", side_effect=AssertionError("shared")):
+        with dyadic._worker_lock:
+            caller.start()
+            caller.join(timeout=60)
+            waited = caller.is_alive()
+    assert not waited
+    assert got[0].tobytes() == _fwht_radix2_reference(x).tobytes()
+
+
+def test_one_usable_cpu_never_starts_the_worker(monkeypatch):
+    monkeypatch.setattr(dyadic, "_worker_pool", None)
+    monkeypatch.setattr(dyadic.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    threads = threading.active_count()
+    x = _draw(np.random.default_rng(8), np.complex128, (4, 1 << 15))
+    assert fwht(x).tobytes() == _fwht_radix2_reference(x).tobytes()
+    assert dyadic._worker_pool is None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_its_own_worker(two_cpus):
+    # The parent's worker thread does not exist in a forked child.
+    x = _draw(np.random.default_rng(9), np.complex128, 1 << 16)
+    want = fwht(x).tobytes()
+    assert dyadic._worker_pool is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if fwht(x).tobytes() == want else 1)
+    deadline = time.monotonic() + 60
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
 
 
 def test_fwht_twice_is_exactly_n_times_identity_at_m20():

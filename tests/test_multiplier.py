@@ -24,14 +24,58 @@ from walsh_lab import (
     truncate,
     walsh_step,
 )
-from walsh_lab.dyadic import walsh_matrix
-from walsh_lab.multiplier import apply_diag, kernel_matrix
+from walsh_lab.dyadic import fwht, walsh_matrix
+from walsh_lab.multiplier import apply_diag, kernel, kernel_matrix
 from walsh_lab.verify import _family_zoo
 
 
 def rand_step(rng, m):
     res = Resolution(m)
     return StepFunction(res, rng.standard_normal(res.dim) + 1j * rng.standard_normal(res.dim))
+
+
+def _scaled_draw(rng, kind, shape, low):
+    """Values with binary exponents from ``low`` to 500: subnormals for low
+    below -1022, and no overflow in a product of two at m <= 10."""
+    if kind == "i":
+        return rng.integers(-(2**20), 2**20, shape)
+    scale = np.exp2(rng.integers(low, 500, shape))
+    x = rng.standard_normal(shape) * scale
+    return x + 1j * rng.standard_normal(shape) * scale if kind == "c" else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 10),
+    kinds=st.tuples(st.sampled_from("ifc"), st.sampled_from("ifc")),
+    lead=st.sampled_from([(), (1,), (3,)]),
+    layout=st.sampled_from(["C", "T"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# One complex cell: numpy's in-place product of a lone element would round
+# differently.
+@example(m=0, kinds=("c", "c"), lead=(), layout="C", seed=1)
+def test_scaling_in_place_keeps_the_allocating_bytes(m, kinds, lead, layout, seed):
+    # ``apply_diag``, ``kernel`` and ``analysis`` scale the transform they
+    # own in place; the bytes, dtype and layout are the allocating form's.
+    rng = np.random.default_rng(seed)
+    n = 1 << m
+    values = _scaled_draw(rng, kinds[0], (*lead, n), -1060)
+    if layout == "T":
+        values = np.asfortranarray(values)
+    diag = _scaled_draw(rng, kinds[1], n, -500)
+    for got, want in [
+        (apply_diag(diag, values), fwht(fwht(values) * diag) / n),
+        (kernel(diag), fwht(diag) / n),
+    ]:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        # The layout too, up to the strides of length-1 axes.
+        assert [s for s, k in zip(got.strides, got.shape) if k > 1] == [
+            s for s, k in zip(want.strides, want.shape) if k > 1]
+    if not lead:
+        f = StepFunction(Resolution(m), values)
+        assert analysis(f).coeffs.tobytes() == (fwht(f.values) / n).tobytes()
 
 
 def test_constant_symbol_is_identity():

@@ -590,6 +590,20 @@ def test_probe_fallbacks_stay_batched_at_p2(monkeypatch):
     assert probe.best_ratio == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m, trials, seed", [(0, 3, 0), (3, 40, 5), (6, 200, 1)])
+def test_probe_at_p2_runs_no_screen(monkeypatch, m, trials, seed):
+    # Under Parseval every screened move would tie, so the blocks go
+    # straight to exact rows; the bytes are the reference loop's.
+    def no_screen(*args):
+        raise AssertionError("screened a Parseval probe")
+
+    monkeypatch.setattr(importlib.import_module("walsh_lab.opnorm"), "_screen", no_screen)
+    probe = constant_probe("hy", 2.0, Resolution(m), trials=trials, seed=seed)
+    ratio, witness = _constant_probe_reference("hy", 2.0, Resolution(m), trials=trials, seed=seed)
+    assert probe.best_ratio == ratio
+    assert probe.witness.tobytes() == witness.tobytes()
+
+
 @pytest.mark.parametrize(
     "case",
     [

@@ -38,6 +38,7 @@ from walsh_lab import (
     walsh_step,
 )
 from walsh_lab import spectral
+from walsh_lab.cli import main
 from walsh_lab.dyadic import fwht
 from walsh_lab.spectral import (
     _MAX_WITNESSES,
@@ -299,7 +300,7 @@ def _membership_reference(sym, query):
             p=query.p,
             delta=delta,
             resolvent=b,
-            lp_upper=lp_upper,
+            _bound=lambda: lp_upper,
         )
 
     gaps = np.abs(sym.values(_WITNESS_SCAN) - lam)
@@ -452,10 +453,22 @@ def test_membership_batch_at_p2_runs_no_transform():
     assert all(c.lp_upper is None for c in got)
 
 
+def test_spectrum_grid_runs_no_transform_at_p3(capsys):
+    # The grid CSV prints verdicts and gaps, never ``lp_upper``.
+    args = ["sweep", "spectrum-grid", "--symbol", "alternating", "--m", "8", "--p-in", "3",
+            "--grid=-2,2,-1,1,9"]
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    with _transforms(_no_transform):
+        assert main(args) == 0
+    assert capsys.readouterr().out == want
+    assert "in_resolvent" in want
+
+
 def test_membership_batch_bounds_each_block_with_one_transform():
     sym = AlternatingSymbol()
     queries = _grid(sym, 3.0, 8)
-    want = membership_batch(sym, queries)
+    want = [(c.verdict, c.lp_upper) for c in membership_batch(sym, queries)]
     shapes = []
 
     def counting(values, *args, **kwargs):
@@ -464,7 +477,8 @@ def test_membership_batch_bounds_each_block_with_one_transform():
 
     with _transforms(counting):
         got = membership_batch(sym, queries)
-    assert [(c.verdict, c.lp_upper) for c in got] == [(c.verdict, c.lp_upper) for c in want]
+        assert shapes == []  # the bounds wait for their first read
+        assert [(c.verdict, c.lp_upper) for c in got] == want
     outside = sum(c.verdict == IN_RESOLVENT for c in got)
     rows = spectral._BATCH_ELEMS >> 8
     assert outside > 2 * rows
