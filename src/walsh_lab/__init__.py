@@ -40,7 +40,6 @@ from .spectral import (
     SpectralReport,
     compactness_report,
     membership,
-    membership_batch,
     point_spectrum,
     resolvent_norm_l2,
     riesz_schauder_check,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import MAX_TRANSFORM_LEVELS, Resolution
 from .opnorm import constant_probe, opnorm
-from .spectral import SpectralQuery, compactness_report, membership_batch
+from .spectral import SpectralQuery, compactness_report, membership
 from .symbols import Symbol, symbol_from_json
 from .verify import SUITES, run_suite
 
@@ -205,10 +205,7 @@ def _sweep_spectrum_grid(args) -> tuple[list[dict], list[str]]:
     res = np.linspace(re_min, re_max, steps)
     ims = np.linspace(im_min, im_max, steps)
     queries = [SpectralQuery(complex(re, im), p=p, m=args.m, tolerance=args.tol) for im in ims for re in res]
-    # One batched membership call per thread, over a contiguous chunk.
-    size = -(-len(queries) // max(1, args.threads))
-    chunks = [queries[lo : lo + size] for lo in range(0, len(queries), size)]
-    certs = [c for chunk in _map_ordered(partial(membership_batch, sym), chunks, args.threads) for c in chunk]
+    certs = _map_ordered(partial(membership, sym), queries, args.threads)
     rows = [
         {
             "family": sym.family,

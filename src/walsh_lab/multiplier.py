@@ -99,22 +99,16 @@ def compose_check(sym: Symbol, lam: complex, f: StepFunction, tolerance: float =
     certified gaps inflate it.
     """
     res = f.resolution
-    dim = res.dim
     b, _ = resolvent_symbol(sym, lam, tolerance)
+    a_diag = sym.values(res.dim)
+    b_diag = b.values(res.dim)
+    values = f.values
     w = 2.0**-res.m
-    # Every operand is 2-D: a complex product whose one element comes from
-    # broadcasting a 2-D against a 1-D operand (m = 0) can round differently
-    # from the same product on equal shapes.
-    a_diag = sym.values(dim).reshape(1, dim)
-    b_diag = b.values(dim).reshape(1, dim)
-    values = f.values.reshape(1, dim)
-    shift = np.full((1, 1), b.shift, dtype=np.complex128)
-    f_hat = fwht(values)
 
-    shifted = fwht(f_hat * a_diag) / dim - shift * values
+    shifted = apply_diag(a_diag, values) - b.shift * values
     left = apply_diag(b_diag, shifted) - values
 
-    inv = fwht(f_hat * b_diag) / dim
-    right = apply_diag(a_diag, inv) - shift * inv - values
+    inv = apply_diag(b_diag, values)
+    right = apply_diag(a_diag, inv) - b.shift * inv - values
 
-    return float(np.maximum(pnorm(left, 2.0, w), pnorm(right, 2.0, w))[0])
+    return max(pnorm(left, 2.0, w), pnorm(right, 2.0, w))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,14 +42,6 @@ INF = math.inf
 
 _WITNESS_SCAN = 1 << 16
 _MAX_WITNESSES = 12
-# ``membership_batch`` bounds the kernels of p != 2 shifts in blocks of
-# ``_BATCH_ELEMS // 2**m`` rows (32 at m = 10), so each complex array of a
-# block is 512 KB.  On a 2-vCPU x86-64 VM with a 2 MB L2 cache, 21 x 21
-# p = 3 grids took (medians of 9, ms; 2**13 / 2**14 / 2**15 / 2**16 / 2**17)
-# 9.7 / 8.6 / 8.4 / 8.5 / 11.6 for alternating at m = 8 and
-# 45 / 38 / 36 / 35 / 54 for reciprocal at m = 10, where the run-to-run
-# spread is about 2 ms.  Blocks change speed only, never bytes.
-_BATCH_ELEMS = 1 << 15
 
 IN_SPECTRUM = "in_spectrum"
 IN_RESOLVENT = "in_resolvent"
@@ -94,7 +86,7 @@ class MembershipCertificate:
     witness_gaps: list[float] = field(default_factory=list)
     _bound: Callable[[], float | None] = field(default=lambda: None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def lp_upper(self) -> float | None:
         """For a p != 2 resolvent shift the kernel bound ``||k_b||_1`` at
         resolution m (``k_b = fwht(b) / 2**m``, rounded up by its error
@@ -188,83 +180,35 @@ def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
 
     Exactly one of the verdicts holds: a certified gap above the query
     tolerance yields the resolvent verdict, anything at or below it the
-    spectrum verdict.  This is the one-shift case of ``membership_batch``.
+    spectrum verdict.  A resolvent shift gets its inverse symbol as the
+    theorem gives it; at p != 2 its kernel bound is one transform of
+    ``1/(a_n - lam)``, run on the first read of ``lp_upper``.  A spectrum
+    shift gets the witnesses of a scan of the values, each gap read off it.
     """
-    return membership_batch(sym, [query])[0]
+    dim = Resolution(query.m).dim
+    lam = complex(query.lam)
+    delta = sym.closure_distance(lam)
+    if delta > query.tolerance:
+        b = ResolventSymbol(sym, lam, delta)
+        cert = MembershipCertificate(verdict=IN_RESOLVENT, lam=lam, p=query.p, delta=delta, resolvent=b)
+        if query.p != 2.0:
+            cert._bound = lambda: float(kernel_l1_upper(b.values(dim)))
+        return cert
 
-
-def membership_batch(sym: Symbol, queries) -> list[MembershipCertificate]:
-    """``membership`` for many shifts at one resolution, in query order.
-
-    A resolvent shift gets its inverse symbol as the theorem gives it, and
-    no transform runs until a p != 2 certificate's ``lp_upper`` is read.
-    The first such read bounds every p != 2 resolvent shift of the call:
-    the inverse diagonals ``1/(a_n - lam)`` form a ``(shifts, 2**m)``
-    batch, and the kernel bounds are one batched transform and norm per
-    block of ``_BATCH_ELEMS // 2**m`` rows.  A batch row of ``fwht`` and
-    ``pnorm`` is bit for bit the row on its own, so every certificate is the
-    one its shift gets alone.  The witness scan values are computed once for
-    all spectrum shifts, and each witness gap is read off the scan.
-    """
-    queries = list(queries)
-    if not queries:
-        return []
-    m = queries[0].m
-    if any(q.m != m for q in queries):
-        raise ValueError("membership_batch needs one resolution m for all queries")
-    dim = Resolution(m).dim
-    lams = [complex(q.lam) for q in queries]
-    deltas = [sym.closure_distance(lam) for lam in lams]
-    certs: list[MembershipCertificate | None] = [None] * len(queries)
-
-    outside = [i for i, q in enumerate(queries) if deltas[i] > q.tolerance]
-    bounded = [i for i in outside if queries[i].p != 2.0]
-    uppers: list[dict[int, float]] = []
-
-    def upper(i: int) -> float:
-        # Every bound of the batch at the first read of any.  Concurrent
-        # first reads compute the same table, and each reads a whole one.
-        if not uppers:
-            a = sym.values(dim)
-            rows = max(1, _BATCH_ELEMS // dim)
-            table = {}
-            for lo in range(0, len(bounded), rows):
-                block = bounded[lo : lo + rows]
-                shifts = np.array([lams[j] for j in block])
-                table.update(zip(block, kernel_l1_upper(1.0 / (a - shifts[:, None])).tolist()))
-            uppers.append(table)
-        return uppers[0][i]
-
-    for i in outside:
-        certs[i] = MembershipCertificate(
-            verdict=IN_RESOLVENT,
-            lam=lams[i],
-            p=queries[i].p,
-            delta=deltas[i],
-            resolvent=ResolventSymbol(sym, lams[i], deltas[i]),
-        )
-    for i in bounded:
-        certs[i]._bound = partial(upper, i)
-
-    inside = [i for i, cert in enumerate(certs) if cert is None]
-    scan = sym.values(_WITNESS_SCAN) if inside else None
-    for i in inside:
-        lam = lams[i]
-        gaps = np.abs(scan - lam)
-        # Index 0, then every index whose gap falls below all earlier ones.
-        records = np.flatnonzero(gaps[1:] < np.minimum.accumulate(gaps)[:-1]) + 1
-        picks = [0, *records.tolist()][-_MAX_WITNESSES:]
-        # ``(T - lam) W_n = (a_n - lam) W_n`` has constant modulus, so its
-        # L^p norm is the scanned gap at every p.
-        certs[i] = MembershipCertificate(
-            verdict=IN_SPECTRUM,
-            lam=lam,
-            p=queries[i].p,
-            delta=deltas[i],
-            witness_indices=picks,
-            witness_gaps=gaps[picks].tolist(),
-        )
-    return certs
+    gaps = np.abs(sym.values(_WITNESS_SCAN) - lam)
+    # Index 0, then every index whose gap falls below all earlier ones.
+    records = np.flatnonzero(gaps[1:] < np.minimum.accumulate(gaps)[:-1]) + 1
+    picks = [0, *records.tolist()][-_MAX_WITNESSES:]
+    # ``(T - lam) W_n = (a_n - lam) W_n`` has constant modulus, so its L^p
+    # norm is the scanned gap at every p.
+    return MembershipCertificate(
+        verdict=IN_SPECTRUM,
+        lam=lam,
+        p=query.p,
+        delta=delta,
+        witness_indices=picks,
+        witness_gaps=gaps[picks].tolist(),
+    )
 
 
 def compactness_report(

@@ -243,10 +243,12 @@ def spectral_checks(seed: int = 0) -> list[CheckResult]:
     res5 = Resolution(5)
     ok = True
     for sym in (ReciprocalSymbol(), AlternatingSymbol(), GeometricSymbol(0.7)):
-        eig = np.linalg.eigvals(multiplier.MultiplierMatrix(sym, res5).dense())
-        want = sym.values(res5.dim)
-        ok = ok and _multiset_close(eig, want, 1e-10)
-    out.append(CheckResult("p=2 spectrum equals {a_n} (dense eigensolve, m=5)", ok))
+        diag = sym.values(res5.dim)
+        eig = spectral.point_spectrum(sym, res5)
+        for n in range(res5.dim):
+            w = walsh_step(n, res5).values
+            ok = ok and np.array_equal(multiplier.apply_diag(diag, w), eig[n] * w)
+    out.append(CheckResult("point spectrum: apply(W_n) = a_n W_n for every n, exactly (m=5)", ok))
 
     rec = ReciprocalSymbol()
     worst = 0.0
@@ -306,16 +308,6 @@ def spectral_checks(seed: int = 0) -> list[CheckResult]:
             worst = max(worst, abs(measured - formula))
     out.append(CheckResult("separation identity measured = formula", worst < 1e-12, f"max err = {worst:.2e}"))
     return out
-
-
-def _multiset_close(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
-    import scipy.optimize
-
-    if got.shape != want.shape:
-        return False
-    cost = np.abs(got[:, None] - want[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol)
 
 
 SUITES = {

@@ -146,6 +146,9 @@ _SCIPY_MODULES = "print(sorted(n for n in sys.modules if n.split('.')[0] == 'sci
     "import sys, runpy; sys.argv = ['walsh_lab', 'sweep', 'opnorm', '--m', '2']\n"
     "try:\n    runpy.run_module('walsh_lab', run_name='__main__')\n"
     "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+    "import sys, runpy; sys.argv = ['walsh_lab', 'verify']\n"
+    "try:\n    runpy.run_module('walsh_lab', run_name='__main__')\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
 ])
 def test_import_and_sweep_load_no_scipy(code):
     assert _last_line_of_fresh_python(f"{code}\n{_SCIPY_MODULES}") == "[]"

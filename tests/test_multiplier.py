@@ -107,7 +107,7 @@ _ZOO = _family_zoo()
 
 # The eigen-theorem ``T W_n = a_n W_n`` holds bit for bit in floating point,
 # which ``spectral.point_spectrum`` and the witness gaps of
-# ``spectral.membership_batch`` return without re-checking.
+# ``spectral.membership`` return without re-checking.
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.integers(0, len(_ZOO)),
@@ -130,7 +130,7 @@ def test_walsh_functions_are_exact_eigenvectors(family, seed, m, n, lam, on_valu
     image = apply_diag(a, w)
     assert np.array_equal(image, a[n] * w)
     lam = a[n] if on_value else lam
-    # The gap as ``membership_batch`` scans it: the ``np.abs`` ufunc, which
+    # The gap as ``membership`` scans it: the ``np.abs`` ufunc, which
     # can differ in the last bit from the scalar ``abs`` of a complex128.
     gap = np.abs(a - lam)[n]
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):

@@ -25,7 +25,6 @@ from walsh_lab import (
     compactness_report,
     compose_check,
     membership,
-    membership_batch,
     opnorm,
     pnorm,
     point_spectrum,
@@ -37,7 +36,6 @@ from walsh_lab import (
     spectral_report,
     walsh_step,
 )
-from walsh_lab import spectral
 from walsh_lab.cli import main
 from walsh_lab.dyadic import fwht
 from walsh_lab.spectral import (
@@ -276,9 +274,9 @@ def test_spectral_report_serializes():
     assert small["head"] == [[0, [1.0, 0.0]], [1, [-1.0, 0.0]], [2, [1.0, 0.0]], [3, [-1.0, 0.0]]]
 
 
-# The one-shift-at-a-time membership that ``membership_batch`` replaced, with
-# the kernel bound it called inlined as it was: the byte reference for the
-# batched path.
+# Membership as it was first written, with the kernel bound it called
+# inlined as it was and every witness gap re-measured: the byte reference
+# for ``membership``.
 def _opnorm_upper_interpolated_reference(sym, res, p):
     value = opnorm(sym, res, 1.0, 1.0).value
     return value * (1.0 + (res.m + 4) * res.dim * _EPS)
@@ -346,20 +344,14 @@ _GRID_FAMILIES = {
     re=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
     im=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
     hits=st.lists(st.integers(0, 3), max_size=3),
-    rows=st.sampled_from([1, 3, None]),
 )
-# One row at m = 0: broadcasting a 1-D operand against it rounded a product
-# differently from the 1-D computation.
-@example(family="alternating", p=1.5, m=0, re=[0.5625], im=[1.0], hits=[], rows=1)
-def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits, rows):
+@example(family="alternating", p=1.5, m=0, re=[0.5625], im=[1.0], hits=[])
+def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits):
     make, spectrum = _GRID_FAMILIES[family]
     sym = make()
     lams = [complex(x, y) for y in im for x in re] + [spectrum[k % len(spectrum)] for k in hits]
     queries = [SpectralQuery(lam, p=p, m=m) for lam in lams]
-    # Blocks of ``rows`` shifts (None: the default block size).
-    elems = spectral._BATCH_ELEMS if rows is None else rows << m
-    with mock.patch.object(spectral, "_BATCH_ELEMS", elems):
-        got = membership_batch(sym, queries)
+    got = [membership(sym, query) for query in queries]
     assert len(got) == len(queries)
     for cert, query in zip(got, queries):
         want = _membership_reference(sym, query)
@@ -375,7 +367,7 @@ def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits
 def test_membership_batch_covers_both_branches_at_m8():
     sym = AlternatingSymbol()
     queries = [SpectralQuery(lam, p=3.0, m=8) for lam in (1.0, 0.5j, -1.0, 2.0)]
-    got = membership_batch(sym, queries)
+    got = [membership(sym, query) for query in queries]
     assert [c.verdict for c in got] == [IN_SPECTRUM, IN_RESOLVENT, IN_SPECTRUM, IN_RESOLVENT]
     for cert, query in zip(got, queries):
         want = _membership_reference(sym, query)
@@ -389,7 +381,7 @@ def _seeded_function(res, seed=7):
 
 
 # Multipliers compose by the pointwise product of their symbols, so
-# ``b (a - lam) = 1`` is a theorem and ``membership_batch`` does not re-check
+# ``b (a - lam) = 1`` is a theorem and ``membership`` does not re-check
 # it.  This is the rounding check it used to run on every resolvent shift,
 # at its threshold: the residual scales like 1/delta.
 @settings(max_examples=60, deadline=None)
@@ -413,7 +405,7 @@ def test_resolvent_certificates_pass_the_composition_check(family, p, m, free, n
     lams = [*free, *(centers[k % len(centers)] + 10.0**e * complex(math.cos(t), math.sin(t)) for k, e, t in near)]
     res = Resolution(m)
     f = _seeded_function(res, seed)
-    certs = membership_batch(sym, [SpectralQuery(lam, p=p, m=m) for lam in lams])
+    certs = [membership(sym, SpectralQuery(lam, p=p, m=m)) for lam in lams]
     for cert in certs:
         if cert.verdict == IN_RESOLVENT:
             residual = compose_check(sym, cert.lam, f)
@@ -445,9 +437,9 @@ def _grid(sym, p, m, steps=21):
 def test_membership_batch_at_p2_runs_no_transform():
     sym = ReciprocalSymbol()
     queries = _grid(sym, 2.0, 10)
-    want = membership_batch(sym, queries)
+    want = [membership(sym, query) for query in queries]
     with _transforms(_no_transform):
-        got = membership_batch(sym, queries)
+        got = [membership(sym, query) for query in queries]
     assert [c.verdict for c in got] == [c.verdict for c in want]
     assert IN_RESOLVENT in {c.verdict for c in got} and IN_SPECTRUM in {c.verdict for c in got}
     assert all(c.lp_upper is None for c in got)
@@ -465,10 +457,10 @@ def test_spectrum_grid_runs_no_transform_at_p3(capsys):
     assert "in_resolvent" in want
 
 
-def test_membership_batch_bounds_each_block_with_one_transform():
+def test_membership_bounds_one_certificate_with_one_transform():
     sym = AlternatingSymbol()
     queries = _grid(sym, 3.0, 8)
-    want = [(c.verdict, c.lp_upper) for c in membership_batch(sym, queries)]
+    want = [(c.verdict, c.lp_upper) for c in (membership(sym, query) for query in queries)]
     shapes = []
 
     def counting(values, *args, **kwargs):
@@ -476,20 +468,13 @@ def test_membership_batch_bounds_each_block_with_one_transform():
         return fwht(values, *args, **kwargs)
 
     with _transforms(counting):
-        got = membership_batch(sym, queries)
+        got = [membership(sym, query) for query in queries]
+        assert [c.verdict for c in got] == [verdict for verdict, _ in want]
         assert shapes == []  # the bounds wait for their first read
-        assert [(c.verdict, c.lp_upper) for c in got] == want
-    outside = sum(c.verdict == IN_RESOLVENT for c in got)
-    rows = spectral._BATCH_ELEMS >> 8
-    assert outside > 2 * rows
-    blocks = [(min(rows, outside - lo), 256) for lo in range(0, outside, rows)]
-    assert shapes == blocks
-
-
-def test_membership_batch_refuses_mixed_resolutions():
-    assert membership_batch(ReciprocalSymbol(), []) == []
-    with pytest.raises(ValueError, match="one resolution"):
-        membership_batch(ReciprocalSymbol(), [SpectralQuery(2.0, m=4), SpectralQuery(2.0, m=5)])
+        cert = next(c for c in got if c.verdict == IN_RESOLVENT)
+        assert cert.lp_upper == cert.lp_upper  # the second read reuses the first
+        assert shapes == [(256,)]
+    assert [(c.verdict, c.lp_upper) for c in got] == want
 
 
 def test_spectral_query_refuses_bad_exponents():
