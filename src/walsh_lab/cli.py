@@ -283,12 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--out", default=None, help="output path (default: stdout)")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("WALSH_LAB_THREADS", "1")),
-        help="parallel sweep evaluation (env WALSH_LAB_THREADS)",
-    )
+    s.add_argument("--threads", type=int, default=1, help="parallel sweep evaluation")
     s.set_defaults(func=cmd_sweep)
 
     return parser

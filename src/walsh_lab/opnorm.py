@@ -207,6 +207,9 @@ class _PowerResult:
     converged: bool
     histories: list[list[float]] | None = None
 
+    def estimate(self) -> NormEstimate:
+        return NormEstimate(self.value, LOWER, self.iterations, self.residual, self.starts, self.converged)
+
 
 def _phase(v: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """v / |v|, zero where |v| is zero or subnormal.
@@ -438,8 +441,7 @@ def opnorm(
     exact = _exact_norm(diag, res.m, p_in, p_out)
     if exact is not None:
         return NormEstimate(exact, EXACT)
-    run = _power_lower(diag, res.m, p_in, p_out, seed=seed, tol=tol)
-    return NormEstimate(run.value, LOWER, run.iterations, run.residual, run.starts, run.converged)
+    return _power_lower(diag, res.m, p_in, p_out, seed=seed, tol=tol).estimate()
 
 
 def kernel_l1_upper(diags: np.ndarray) -> np.ndarray:
@@ -598,12 +600,8 @@ def multiplier_bound_check(
     return MultiplierBoundReport(
         p=p,
         m=m,
-        estimate=NormEstimate(
-            run_a.value, LOWER, run_a.iterations, run_a.residual, run_a.starts, run_a.converged
-        ),
-        dual_estimate=NormEstimate(
-            run_b.value, LOWER, run_b.iterations, run_b.residual, run_b.starts, run_b.converged
-        ),
+        estimate=run_a.estimate(),
+        dual_estimate=run_b.estimate(),
         sup=sup,
         ratio=ratio,
         duality_gap=abs(run_a.value - run_b.value),

@@ -274,14 +274,14 @@ def separation_distance(
     dim = res.dim
     if not (0 <= k < dim and 0 <= j < dim):
         raise ValueError(f"indices must be below 2**m = {dim}")
-    ak = complex(sym.value(k))
-    aj = complex(sym.value(j))
+    diag = sym.values(dim)
+    ak = complex(diag[k])
+    aj = complex(diag[j])
 
     def normalized(n: int, a: complex) -> np.ndarray:
         w = walsh_step(n, res).values
         return w if a == 0 else (a.conjugate() / abs(a)) * w
 
-    diag = sym.values(dim)
     image = apply_diag(diag, normalized(k, ak) - normalized(j, aj))
     measured = pnorm(image, p, 2.0**-res.m)
 
@@ -307,8 +307,8 @@ def riesz_schauder_check(sym: Symbol, res: Resolution, eps_grid) -> list[dict]:
         raise ValueError(f"accumulation check limited to m <= {MAX_TRANSFORM_LEVELS}, got {res.m}")
     rows = []
     m2 = res.m + 1
-    vals1 = np.abs(sym.values(res.dim))
     vals2 = np.abs(sym.values(1 << m2))
+    vals1 = vals2[: res.dim]
     zero_ok = sym.closure_distance(0.0) <= 1e-15
     for eps in eps_grid:
         eps = float(eps)

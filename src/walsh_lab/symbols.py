@@ -3,12 +3,15 @@
 A symbol is the full infinite sequence ``a_0, a_1, ...`` scaling the Walsh
 coefficients, not just a finite prefix: certifying a spectral gap or the
 decay ``a_n -> 0`` needs the tail in closed form.  Each family therefore
-carries, besides ``value(n)``:
+defines:
 
+* ``_range(start, stop)`` -- ``a_start ... a_{stop-1}`` as a fresh complex
+  array, the one definition of the sequence: the base class derives
+  ``value(n)`` and ``values(count)`` from it, and ``sup_norm()`` from
+  ``tail_sup``;
 * ``tail_sup(N)``   -- ``sup_{n > N} |a_n|`` exactly;
-* ``closure_distance(lam)`` -- distance from ``lam`` to the closure of the
-  value set, exact (or a certified lower bound in the one pathological
-  geometric corner noted below);
+* ``_closure_distance(lam, start)`` -- distance from ``lam`` to the closure
+  of ``{a_n : n >= start}``, exact or a certified lower bound;
 * ``is_c0``         -- whether ``a_n -> 0``.
 
 Arbitrary user data enters as :class:`ExplicitSymbol` with a declared tail
@@ -59,12 +62,16 @@ class Symbol:
 
     family: str = "abstract"
 
-    def value(self, n: int) -> complex:
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        """``a_start ... a_{stop-1}`` as a fresh complex128 array (0 <= start <= stop)."""
         raise NotImplementedError
+
+    def value(self, n: int) -> complex:
+        return complex(self._range(n, n + 1)[0])
 
     def values(self, count: int) -> np.ndarray:
         """First ``count`` values as a complex array."""
-        return np.array([self.value(n) for n in range(count)], dtype=np.complex128)
+        return self._range(0, count)
 
     def tail_sup(self, cutoff: int) -> float:
         """sup of |value(n)| over n > cutoff (cutoff >= -1)."""
@@ -91,7 +98,7 @@ class Symbol:
 
     def sup_norm(self) -> float:
         """sup_n |value(n)| (finite for every admissible symbol)."""
-        return max(abs(self.value(0)), self.tail_sup(0))
+        return self.tail_sup(-1)
 
 
 def _check_cutoff(cutoff: int) -> int:
@@ -107,11 +114,8 @@ class ConstantSymbol(Symbol):
     c: complex = 1.0
     family = "constant"
 
-    def value(self, n: int) -> complex:
-        return complex(self.c)
-
-    def values(self, count: int) -> np.ndarray:
-        return np.full(count, complex(self.c), dtype=np.complex128)
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        return np.full(stop - start, complex(self.c), dtype=np.complex128)
 
     def tail_sup(self, cutoff: int) -> float:
         _check_cutoff(cutoff)
@@ -142,13 +146,10 @@ class UnitDiracSymbol(Symbol):
         if self.n0 < 0:
             raise ValueError(f"index must be nonnegative, got {self.n0}")
 
-    def value(self, n: int) -> complex:
-        return 1.0 + 0.0j if n == self.n0 else 0.0 + 0.0j
-
-    def values(self, count: int) -> np.ndarray:
-        out = np.zeros(count, dtype=np.complex128)
-        if self.n0 < count:
-            out[self.n0] = 1.0
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        out = np.zeros(stop - start, dtype=np.complex128)
+        if start <= self.n0 < stop:
+            out[self.n0 - start] = 1.0
         return out
 
     def tail_sup(self, cutoff: int) -> float:
@@ -178,11 +179,8 @@ class ReciprocalSymbol(Symbol):
 
     family = "reciprocal"
 
-    def value(self, n: int) -> complex:
-        return complex(1.0 / (n + 1))
-
-    def values(self, count: int) -> np.ndarray:
-        return (1.0 / (np.arange(count, dtype=np.float64) + 1.0)).astype(np.complex128)
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        return (1.0 / (np.arange(start, stop, dtype=np.float64) + 1.0)).astype(np.complex128)
 
     def tail_sup(self, cutoff: int) -> float:
         _check_cutoff(cutoff)
@@ -217,11 +215,8 @@ class AlternatingSymbol(Symbol):
 
     family = "alternating"
 
-    def value(self, n: int) -> complex:
-        return complex(1.0 if n % 2 == 0 else -1.0)
-
-    def values(self, count: int) -> np.ndarray:
-        return (1.0 - 2.0 * (np.arange(count) & 1)).astype(np.complex128)
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        return (1.0 - 2.0 * (np.arange(start, stop) & 1)).astype(np.complex128)
 
     def tail_sup(self, cutoff: int) -> float:
         _check_cutoff(cutoff)
@@ -271,13 +266,8 @@ class GeometricSymbol(Symbol):
     def _on_circle(self) -> bool:
         return abs(abs(self.r) - 1.0) <= 1e-12
 
-    def value(self, n: int) -> complex:
-        # same ufunc as values(): Python's pow uses a different algorithm
-        # and drifts by an ulp, breaking exact diagonality checks
-        return complex(np.complex128(self.r) ** np.arange(n, n + 1)[0])
-
-    def values(self, count: int) -> np.ndarray:
-        return np.asarray(np.complex128(self.r) ** np.arange(count), dtype=np.complex128)
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        return np.asarray(np.complex128(self.r) ** np.arange(start, stop), dtype=np.complex128)
 
     def tail_sup(self, cutoff: int) -> float:
         _check_cutoff(cutoff)
@@ -315,7 +305,7 @@ class GeometricSymbol(Symbol):
         chunk = 4096
         while n < start + _GEOMETRIC_SCAN_CAP:
             hi = min(n + chunk, start + _GEOMETRIC_SCAN_CAP)
-            pts = r ** np.arange(n, hi)
+            pts = self._range(n, hi)
             best = min(best, float(np.abs(pts - lam).min()))
             rest = mag**hi
             if rest <= max(floor, abs(lam) - best):
@@ -360,15 +350,10 @@ class ExplicitSymbol(Symbol):
             f" tail_value={self.tail_value})"
         )
 
-    def value(self, n: int) -> complex:
-        if n < self.prefix.size:
-            return complex(self.prefix[n])
-        return self.tail_value
-
-    def values(self, count: int) -> np.ndarray:
-        out = np.full(count, self.tail_value, dtype=np.complex128)
-        k = min(count, self.prefix.size)
-        out[:k] = self.prefix[:k]
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        out = np.full(stop - start, self.tail_value, dtype=np.complex128)
+        head = self.prefix[start:stop]
+        out[: head.size] = head
         return out
 
     def tail_sup(self, cutoff: int) -> float:
@@ -411,12 +396,9 @@ class TailSymbol(Symbol):
     def __repr__(self) -> str:
         return f"TailSymbol({self.base!r}, cutoff={self.cutoff})"
 
-    def value(self, n: int) -> complex:
-        return self.base.value(n) if n > self.cutoff else 0.0 + 0.0j
-
-    def values(self, count: int) -> np.ndarray:
-        out = self.base.values(count)
-        out[: min(count, self.cutoff + 1)] = 0.0
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        out = self.base._range(start, stop)
+        out[: max(self.cutoff + 1 - start, 0)] = 0.0
         return out
 
     def tail_sup(self, cutoff: int) -> float:
@@ -456,11 +438,8 @@ class ResolventSymbol(Symbol):
     def __repr__(self) -> str:
         return f"ResolventSymbol({self.base!r}, shift={self.shift}, delta={self.delta})"
 
-    def value(self, n: int) -> complex:
-        return 1.0 / (self.base.value(n) - self.shift)
-
-    def values(self, count: int) -> np.ndarray:
-        return 1.0 / (self.base.values(count) - self.shift)
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        return 1.0 / (self.base._range(start, stop) - self.shift)
 
     def tail_sup(self, cutoff: int) -> float:
         _check_cutoff(cutoff)
@@ -475,17 +454,26 @@ class ResolventSymbol(Symbol):
         return ResolventSymbol(self.base.conjugate(), self.shift.conjugate(), self.delta)
 
     def _closure_distance(self, lam: complex, start: int) -> float:
-        # The value closure is the Moebius image of the base closure; there
-        # is no family closed form, so enumerate plus mapped accumulation
-        # points (exact-enough: beyond the scan the values cling to these).
+        # The value closure is the Moebius image of the base closure under
+        # z -> 1/(z - s).  An irrational rotation fills the unit circle from
+        # every start, and the image is the circle |w - c| = rho.
+        base, s = self.base, self.shift
+        acc = base._accumulation_points()
+        if acc is None and isinstance(base, GeometricSymbol):
+            k = 1.0 - abs(s) ** 2
+            return abs(abs(lam - s.conjugate() / k) - 1.0 / abs(k))
         count = max(_ENUM_LIMIT, start + 1)
-        pts = self.values(count)[start:]
-        best = float(np.abs(pts - lam).min())
-        acc = self.base._accumulation_points()
-        if acc is not None:
-            for alpha in acc:
-                best = min(best, abs(1.0 / (alpha - self.shift) - lam))
-        return best
+        best = float(np.abs(self._range(start, count) - lam).min())
+        if acc is not None and not base.is_c0:
+            # Beyond the scan the values are taken to sit on the mapped
+            # accumulation points, as periodic values and constant tails do.
+            return min(best, *(abs(1.0 / (alpha - s) - lam) for alpha in acc))
+        # Beyond the scan, |1/(z - s) - lam| = |lam| |z - mu| / |z - s| with
+        # mu = s + 1/lam, and |z - s| <= tail_sup + |s|: a certified lower bound.
+        reach = base.tail_sup(count - 1) + abs(s)
+        if lam == 0:
+            return min(best, 1.0 / reach)
+        return min(best, abs(lam) * base._closure_distance(s + 1.0 / lam, count) / reach)
 
     def _accumulation_points(self):
         acc = self.base._accumulation_points()

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import hashlib
 import importlib
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walsh_lab import (
@@ -34,6 +35,7 @@ from walsh_lab import (
     riesz_schauder_check,
     separation_distance,
     spectral_report,
+    tail,
     walsh_step,
 )
 from walsh_lab.cli import main
@@ -153,6 +155,77 @@ def test_membership_exact_eigenvalue():
     assert cert.verdict == IN_SPECTRUM
     assert 1 in cert.witness_indices
     assert min(cert.witness_gaps) == 0.0
+
+
+def _largest_orbit_gap_midpoint(g: GeometricSymbol, count: int) -> complex:
+    ang = np.sort(np.angle(g.values(count)))
+    gaps = np.diff(np.append(ang, ang[0] + 2.0 * math.pi))
+    i = int(gaps.argmax())
+    return cmath.exp(1j * (ang[i] + gaps[i] / 2.0))
+
+
+@pytest.mark.parametrize("case", ["reciprocal", "slow_geometric", "irrational_rotation"])
+def test_resolvent_values_past_the_scan_are_in_the_spectrum(case):
+    # Each shift is a value of b (or a point of its image circle) that the
+    # first 2**16 values of b miss by 1e-6 .. 5e-5.
+    if case == "reciprocal":
+        b, _ = resolvent_symbol(ReciprocalSymbol(), 2.0)
+        lam = b.value(100_000)
+    elif case == "slow_geometric":
+        b, _ = resolvent_symbol(GeometricSymbol(0.9999), 2.0)
+        lam = b.value(100_000)
+    else:
+        g = GeometricSymbol(cmath.exp(2j * math.pi * (math.sqrt(2) - 1)))
+        b, _ = resolvent_symbol(g, 0.3)
+        lam = 1.0 / (_largest_orbit_gap_midpoint(g, 1 << 16) - 0.3)
+    cert = membership(b, SpectralQuery(lam, p=2.0, m=8))
+    assert cert.delta <= 1e-12
+    assert cert.verdict == IN_SPECTRUM
+
+
+_DENSE_BASES = [
+    ReciprocalSymbol(),
+    GeometricSymbol(0.7),
+    GeometricSymbol(0.9999),
+    GeometricSymbol(0.999 * cmath.exp(0.3j)),
+    UnitDiracSymbol(5),
+    ExplicitSymbol([3.0, 1j, -0.5], "zero"),
+    ConstantSymbol(0.0),
+    AlternatingSymbol(),
+    tail(GeometricSymbol(0.9999), 10),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(_DENSE_BASES) - 1),
+    shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    n=st.integers(0, (1 << 18) - 1),
+    offset=st.tuples(st.floats(-14.0, 0.5), st.floats(0.0, 2.0 * math.pi)),
+)
+def test_resolvent_closure_distance_never_exceeds_a_dense_enumeration(index, shift, n, offset):
+    base = _DENSE_BASES[index]
+    s = complex(*shift)
+    assume(base.closure_distance(s) > 0.05)
+    b, _ = resolvent_symbol(base, s)
+    vals = b.values(1 << 18)
+    lam = complex(vals[n]) + 10.0 ** offset[0] * cmath.exp(1j * offset[1])
+    enum = float(np.abs(vals - lam).min())
+    assert b.closure_distance(lam) <= enum + 1e-15 * max(1.0, enum)
+
+
+def test_resolvent_of_an_irrational_rotation_is_its_image_circle():
+    # The orbit fills the unit circle; 1/(z - s) maps it onto a circle, here
+    # sampled densely (the computed orbit drifts off |z| = 1 by up to 1e-11).
+    rng = np.random.default_rng(5)
+    circle = np.exp(2j * math.pi * np.arange(1 << 20) / (1 << 20))
+    g = GeometricSymbol(cmath.exp(1j))
+    for s in (0.0, 0.3, -0.4 + 0.5j, 1.5 - 1.0j):
+        b, _ = resolvent_symbol(g, s)
+        image = 1.0 / (circle - s)
+        for _ in range(5):
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert b.closure_distance(lam) == pytest.approx(float(np.abs(image - lam).min()), abs=1e-9)
 
 
 def test_compactness_reciprocal_decay_table():

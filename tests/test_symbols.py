@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walsh_lab import (
     AlternatingSymbol,
@@ -31,6 +33,16 @@ ZOO = [
     ExplicitSymbol([1.0, -2.0, 0.5j, 0.25], "constant", 0.125),
     ExplicitSymbol([3.0, 1j], "zero"),
 ]
+# Every family with its tail and resolvent derivatives; 3 + 2j clears every
+# value closure of the zoo.
+DERIVED = [
+    *ZOO,
+    GeometricSymbol(cmath.exp(2j * math.pi / 3)),
+    GeometricSymbol(cmath.exp(1j)),
+    *(tail(sym, 3) for sym in ZOO),
+    *(resolvent_symbol(sym, 3.0 + 2.0j)[0] for sym in ZOO),
+    resolvent_symbol(tail(GeometricSymbol(0.7), 3), -0.5j)[0],
+]
 
 
 def test_family_values():
@@ -48,10 +60,25 @@ def test_family_values():
 
 
 def test_values_match_scalar_value():
-    for sym in ZOO:
+    for sym in DERIVED:
         vals = sym.values(64)
         for n in (0, 1, 7, 63):
             assert vals[n] == complex(sym.value(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, len(DERIVED) - 1),
+    bounds=st.tuples(st.integers(0, 1 << 12), st.integers(0, 1 << 12)).map(sorted),
+)
+def test_range_is_the_one_definition(index, bounds):
+    sym = DERIVED[index]
+    start, stop = bounds
+    vals = sym.values(stop)
+    part = sym._range(start, stop)
+    assert part.dtype == np.complex128 and part.tobytes() == vals[start:].tobytes()
+    if stop:
+        assert sym.value(stop - 1) == vals[stop - 1]
 
 
 def test_tail_sup_examples():
@@ -201,6 +228,13 @@ def test_sup_norm():
     assert AlternatingSymbol().sup_norm() == 1.0
     assert ExplicitSymbol([3.0, 1j], "zero").sup_norm() == 3.0
     assert ConstantSymbol(2j).sup_norm() == 2.0
+    for sym in [*ZOO, *(tail(s, 3) for s in ZOO)]:
+        assert sym.sup_norm() == max(abs(sym.value(0)), sym.tail_sup(0))
+    for sym in ZOO:
+        # A resolvent's sup is 1 / delta, which |b_0| can round away from by an ulp.
+        b, delta = resolvent_symbol(sym, 3.0 + 2.0j)
+        assert b.sup_norm() == 1.0 / delta
+        assert b.sup_norm() == pytest.approx(max(abs(b.value(0)), b.tail_sup(0)), rel=1e-15)
 
 
 def test_json_round_trip_all_families():
