@@ -47,19 +47,21 @@ MAX_WALSH_MATRIX_LEVELS = 12
 # Past this the value arrays alone stop being sensible on one machine.
 MAX_LEVELS = 26
 # Sweeps and spectral queries transform several complex arrays per shift: a
-# spectral report with its accumulation check peaked at about 196 MB at
-# m = 20, and each two further levels about quadruple that (roughly 12 GB at
+# spectral report at m = 20 (p = 3, with its accumulation check and kernel
+# bound) peaks at about 91 MB resident, 34 MB of it the interpreter and
+# numpy, and each further level about doubles the rest (roughly 3.7 GB at
 # MAX_LEVELS).
 MAX_TRANSFORM_LEVELS = 20
 _INT64_MAX = 2**63 - 1
-# Bytes of one ``fwht`` block taken through its remaining stages while it
-# stays in cache.  A block and its ping-pong partner (1 MB together) fit the
-# 2 MB per-core L2 of the 2-core Xeon (Sapphire Rapids) this was sized on.
-# Median of 7 m = 20 complex transforms by tile size, one thread: 32 KB
-# 150 ms, 128 KB 96, 256 KB 84, 512 KB 78, 1 MB 93, 2 MB 98, untiled 161.
-# Shared with the worker (three runs; untiled runs on one thread): 32 KB
-# 115-119 ms, 128 KB 55-62, 256 KB 36-42, 512 KB 29-35, 1 MB 30-40, 2 MB
-# 35-44, untiled 100-118, against 51-52 at 512 KB on one thread that hour.
+# Bytes of one ``fwht`` tile, taken through its last stages while it stays
+# in cache, and of one head-pass chunk.  A tile and its scratch partner
+# (1 MB together) fit the 2 MB per-core L2 of the 2-core Xeon (Sapphire
+# Rapids) this was sized on.  Two-pass butterfly, m = 20 complex, medians
+# of 21 interleaved transforms by tile size in three runs, one thread /
+# shared with the worker: 128 KB 75-78 / 96-101 ms, 256 KB 57-62 / 47-50,
+# 512 KB 52-58 / 34-36, 1 MB 71 / 39-40, 2 MB 82-83 / 43-45.  A head-pass
+# chunk of half or a quarter of the tile was slower (shared: 39 and 54 ms).
+# The one-pass head that came before measured fastest at 512 KB too.
 FWHT_TILE_BYTES = 1 << 19
 
 
@@ -216,41 +218,46 @@ def fwht(values, /) -> np.ndarray:
     ``OverflowError``.  Float and complex inputs are computed in float64.
 
     The butterfly is the constant-geometry (Pease) form inside shrinking
-    blocks, ping-ponging between two buffers: stage k splits the index range
-    into ``2**k`` blocks and writes the sums of neighbouring pairs to each
-    block's first half, their differences to its second half, so a level is
-    two ufunc passes with no temporary.  Index bits are paired bottom-up, so
-    every add and subtract takes the same operands as the in-place radix-2
-    loop (and the result is bit for bit the same); as stage k writes its bit
-    to the top of its block, the output lands in Paley order with no
-    bit-reversal gather.  The input is only read.
+    blocks: stage k splits the index range into ``2**k`` blocks and writes
+    the sums of neighbouring pairs to each block's first half, their
+    differences to its second half, so a level is two ufunc passes into
+    another buffer.  Index bits are paired bottom-up, so every add and
+    subtract takes the same operands as the in-place radix-2 loop (and the
+    result is bit for bit the same); as stage k writes its bit to the top
+    of its block, the output lands in Paley order with no bit-reversal
+    gather.  The input is only read.
 
     The buffers are ``(N, rows)`` arrays, the batch axis fastest in memory,
     and the result is their transpose; a C-ordered batch is transposed by
-    the first stage's reads.
+    the first stage's reads.  A transform that fits one cache tile
+    (``FWHT_TILE_BYTES``) ping-pongs every stage between the output and one
+    spare array of its size.
 
-    The stages run depth-first in cache-sized tiles.  After stage k every
-    later stage reads and writes only inside contiguous blocks of
-    ``N >> (k + 1)`` cells, so once the first ``s`` stages have streamed the
-    whole buffer, each of the ``2**s`` blocks is taken through all the
-    remaining stages while it sits in cache; ``s`` is the smallest split at
-    which a block fits ``FWHT_TILE_BYTES``, and a transform that fits one
-    tile (``s = 0``) runs every stage on the whole buffer.  Tiling only
-    reorders whole stages across disjoint blocks: every add and subtract
-    keeps its operands and the buffer it writes, so the output bytes, dtype
-    and strides do not depend on the tile size.
+    A larger one holds one output-sized buffer and streams it twice, after
+    Bailey's two-pass FFT scheme.  ``s`` is the smallest split at which a
+    tile of ``N >> s`` cells fits ``FWHT_TILE_BYTES`` (or ``m``).  Stages
+    ``0 .. s - 1`` only mix groups of ``2**s`` neighbouring input cells,
+    and leave the result of group g at offset g of every tile.  Pass 1 takes
+    cache-sized chunks of whole groups (of fewer rows, where one group of
+    every row is larger) through those stages in tile-sized scratch, the
+    last stage writing straight into the strided view of the tiles.  After
+    stage ``s - 1`` every later stage acts inside one tile, so pass 2 takes
+    each tile through stages ``s .. m - 1`` while it sits in cache,
+    ping-ponging between the tile and scratch; when ``m - s`` is odd the
+    last stage lands in scratch and is copied back once.  Working memory is
+    the output and two scratch arrays per thread, each the size of a tile
+    (or of one group of one row, where that is larger).  The passes only
+    change the buffers that hold intermediate stages: every add and
+    subtract keeps its operands, so the output bytes, dtype and strides do
+    not depend on the tile size.
 
-    Past one tile the calling thread shares the work with one worker
-    thread.  Stage 0 writes its sums to the first half of the buffer and
-    its differences to the second, and every later stage acts inside one
-    half, so the caller computes the sums and takes the first half through
-    the remaining stages (and its ``2**(s - 1)`` blocks), the worker the
-    differences and the second half, and the two join once.  The sharing
-    moves no add or subtract to other operands or another buffer, so the
-    bytes are those of one thread.  The worker starts on the first
-    multi-tile transform, never where fewer than 2 CPUs are usable; a
-    transform that finds it serving another thread's transform runs on its
-    own thread alone.
+    The calling thread shares both passes with one worker thread: each
+    takes half the chunks and they join, then half the tiles and they join
+    again, in scratch the calling thread allocates.  The sharing moves no
+    add or subtract to other operands, so the bytes are those of one
+    thread.  The worker starts on the first multi-tile transform, never
+    where fewer than 2 CPUs are usable; a transform that finds it serving
+    another thread's transform runs on its own thread alone.
     """
     a = np.asarray(values)
     if a.ndim == 0:
@@ -280,85 +287,125 @@ def fwht(values, /) -> np.ndarray:
     src = a.reshape(-1, n).T
     rows = src.shape[1]
     out = np.empty((n, rows), dtype)
-    spare = np.empty_like(out)
     split = 0
     while split < m and out.nbytes >> split > FWHT_TILE_BYTES:
         split += 1
-    if split and _worker_lock.acquire(blocking=False):
+    if not split:
+        spare = np.empty_like(out)
+        # Stage k writes ``out`` when m - k is odd, so the last one lands there.
+        _stages(src, [out if (m - k) % 2 else spare for k in range(m)], dtype)
+        return out.T.reshape(a.shape)
+    if _worker_lock.acquire(blocking=False):
         try:
             worker = _worker()
             if worker is not None:
-                _shared_transform(worker, src, out, spare, split, m, dtype)
+                _shared_passes(worker, src, out, split, m, dtype)
                 return out.T.reshape(a.shape)
         finally:
             _worker_lock.release()
-    _tiled_stages(src, out, spare, 0, split, m, dtype)
+    chunks = _head_chunks(src, out, split)
+    (scratch,) = _scratch(chunks, out, split, 1)
+    _head_pass(chunks, scratch, split, dtype)
+    _tile_pass(_tiles(out, split), scratch[0], split, m, dtype)
     return out.T.reshape(a.shape)
 
 
-def _butterfly_stages(src, out, spare, first, stop, m, dtype):
-    """Run Pease stages ``first .. stop - 1`` of an m-stage transform on one
-    block: ``src``, ``out`` and ``spare`` are ``(size, rows)`` views of the
-    same cells, which stage ``first`` treats as a single group.  Stage k
-    reads ``src`` as ``2**(k - first)`` groups of neighbouring pairs and
-    writes each group's sums and differences to its two halves.  Stage k
-    writes ``out`` when ``m - k`` is odd, so the last stage (k = m - 1)
-    lands in ``out`` wherever the split falls.  Returns the buffer the last
-    stage wrote (``src`` if none ran)."""
-    size, rows = out.shape
-    groups, half = 1, size >> 1
-    for k in range(first, stop):
-        dst = out if (m - k) % 2 else spare
+def _stages(src, dsts, dtype):
+    """Pease stages of a ``(cells, rows)`` block that the first of them
+    treats as a single group, stage i writing ``dsts[i]`` (any view of as
+    many cells and rows): it reads its source as ``2**i`` groups of
+    neighbouring pairs and writes each group's sums to the first half of
+    its group of the destination, their differences to the second half.
+    Returns the buffer the last stage wrote (``src`` if none ran)."""
+    cells, rows = src.shape
+    for i, dst in enumerate(dsts):
+        groups, half = 1 << i, cells >> (i + 1)
         pairs = src.reshape(groups, half, 2, rows)
         halves = dst.reshape(groups, 2, half, rows)
         # ``dtype`` casts bool, uint8, float32, ... inputs on the first read.
         np.add(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, 0], dtype=dtype)
         np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=halves[:, 1], dtype=dtype)
         src = dst
-        groups <<= 1
-        half >>= 1
     return src
 
 
-def _tiled_stages(src, out, spare, first, split, m, dtype):
-    """Stages ``first .. m - 1`` on a block that stage ``first`` treats as a
-    single group.  Stages before ``split`` stream the whole block; after
-    them every block of ``N >> split`` cells runs the remaining stages
-    while it sits in cache.  ``split <= first`` (one tile) runs every stage
-    on the whole block, with no slicing."""
-    if split <= first:
-        _butterfly_stages(src, out, spare, first, m, m, dtype)
+def _tiles(out, split):
+    """The ``2**split`` tiles of ``out``: contiguous ``(N >> split, rows)``
+    blocks that stages ``split .. m - 1`` never leave."""
+    return out.reshape(1 << split, out.shape[0] >> split, out.shape[1])
+
+
+def _head_chunks(src, out, split):
+    """Pass 1's work: ``(input, target)`` pairs that cover the transform.
+
+    Stages ``0 .. split - 1`` only mix groups of ``2**split`` neighbouring
+    input cells, and after them the result of group g sits at offset g of
+    every tile.  A chunk is a run of whole groups (of a few rows where one
+    group of every row exceeds a tile), at most ``FWHT_TILE_BYTES`` of
+    output or else one group of one row; its target is the strided view of
+    the tiles that its last head stage writes."""
+    cells, rows = out.shape
+    width = cells >> split
+    budget = FWHT_TILE_BYTES // out.itemsize
+    group = rows << split
+    if group <= budget:
+        step, rstep = min(width, budget // group), rows
+    else:
+        step, rstep = 1, max(budget >> split, 1)
+    tiles = _tiles(out, split)
+    return [
+        (src[g << split : (g + step) << split, r : r + rstep], tiles[:, g : g + step, r : r + rstep])
+        for g in range(0, width, step)
+        for r in range(0, rows, rstep)
+    ]
+
+
+def _scratch(chunks, out, split, threads):
+    """Two scratch buffers for each thread, each as large as a chunk and,
+    if stages run inside the tiles, as a tile."""
+    size = chunks[0][0].size
+    if out.shape[0] >> split > 1:
+        size = max(size, out.size >> split)
+    return np.empty((threads, 2, size), out.dtype)
+
+
+def _head_pass(chunks, scratch, split, dtype):
+    """Pass 1: stages ``0 .. split - 1`` of each chunk, ping-ponging in the
+    two ``scratch`` buffers, the last one writing the chunk's target."""
+    for part, target in chunks:
+        bufs = [s[: part.size].reshape(part.shape) for s in scratch]
+        _stages(part, [bufs[k % 2] for k in range(split - 1)] + [target], dtype)
+
+
+def _tile_pass(tiles, spare, split, m, dtype):
+    """Pass 2: stages ``split .. m - 1`` of each tile, ping-ponging between
+    the tile and ``spare``; an odd count is copied back once.  At
+    ``split = m`` a tile is one cell and no stage is left."""
+    if split == m:
         return
-    src = _butterfly_stages(src, out, spare, first, split, m, dtype)
-    size = out.shape[0] >> (split - first)
-    for lo in range(0, out.shape[0], size):
-        block = slice(lo, lo + size)
-        _butterfly_stages(src[block], out[block], spare[block], split, m, m, dtype)
+    for tile in tiles:
+        scratch = spare[: tile.size].reshape(tile.shape)
+        if _stages(tile, [tile if k % 2 else scratch for k in range(m - split)], dtype) is scratch:
+            np.copyto(tile, scratch)
 
 
-def _half_transform(ufunc, pairs, dst, out, spare, split, m, dtype):
-    """Stage 0's sums (``np.add``) or differences (``np.subtract``) of the
-    neighbouring ``pairs`` into ``dst``, its half of the buffer, then
-    stages ``1 .. m - 1`` on that half alone."""
-    ufunc(pairs[:, 0], pairs[:, 1], out=dst, dtype=dtype)
-    _tiled_stages(dst, out, spare, 1, split, m, dtype)
-
-
-def _shared_transform(worker, src, out, spare, split, m, dtype):
-    """``fwht``'s stages on a buffer of ``2**split`` tiles, shared between
-    the calling thread and ``worker``.  Stage 0 writes the sums of
-    neighbouring pairs to the first half of the buffer and their
-    differences to the second, and every later stage acts inside one half:
-    the caller computes the sums and then transforms the first half, the
-    worker the differences and then the second half, with one join at the
-    end.  Every add and subtract keeps its operands and the buffer it
-    writes, so the bytes are those of one thread."""
-    n, rows = out.shape
-    half = n >> 1
-    pairs = src.reshape(half, 2, rows)
-    dst = out if m % 2 else spare
-    job = worker.submit(_half_transform, np.subtract, pairs, dst[half:], out[half:], spare[half:], split, m, dtype)
-    _half_transform(np.add, pairs, dst[:half], out[:half], spare[:half], split, m, dtype)
+def _shared_passes(worker, src, out, split, m, dtype):
+    """Both passes of ``fwht`` shared between the calling thread and
+    ``worker``: each takes half the chunks and they join, then half the
+    tiles and they join again.  Chunks, and then tiles, are disjoint, and
+    every add and subtract keeps its operands, so the bytes are those of
+    one thread.  The calling thread allocates both threads' scratch (a
+    worker's own allocations land in a separate heap arena)."""
+    chunks = _head_chunks(src, out, split)
+    mine, theirs = _scratch(chunks, out, split, 2)
+    half = (len(chunks) + 1) // 2
+    job = worker.submit(_head_pass, chunks[half:], theirs, split, dtype)
+    _head_pass(chunks[:half], mine, split, dtype)
+    job.result()
+    tiles = _tiles(out, split)
+    half = len(tiles) // 2
+    job = worker.submit(_tile_pass, tiles[half:], theirs[0], split, m, dtype)
+    _tile_pass(tiles[:half], mine[0], split, m, dtype)
     job.result()
 
 

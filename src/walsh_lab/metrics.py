@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoeffVector, Resolution, StepFunction, fwht, walsh_step
+from .dyadic import CoeffVector, Resolution, StepFunction, _scale, fwht, walsh_step
 
 INF = math.inf
 
@@ -42,6 +42,8 @@ def pnorm(a: np.ndarray, p: float, weight: float = 1.0):
     memory layout.  numpy sums a contiguous row pairwise and a strided one
     in sequence, so the magnitudes are taken into C order first.  The max
     is factored out before powering, so large exponents do not overflow.
+    The quotient and the power are written over the magnitudes, so the
+    only temporary the size of the input is that one array.
     ``weight = 2**-m`` turns the plain sum into an integral over [0, 1);
     ``weight = 1`` gives the sequence norm.
     """
@@ -49,7 +51,11 @@ def pnorm(a: np.ndarray, p: float, weight: float = 1.0):
     mags = np.abs(np.asarray(a), order="C")
     top = mags.max(axis=-1, keepdims=True, initial=0.0)
     if p != INF:
-        s = ((mags / np.where(top > 0, top, 1.0)) ** p).sum(axis=-1, keepdims=True) * weight
+        # An integer ``a`` has integer magnitudes, which divide to float64.
+        inexact = mags.dtype.kind == "f"
+        mags = np.divide(mags, np.where(top > 0, top, 1.0), out=mags if inexact else None)
+        mags **= p
+        s = mags.sum(axis=-1, keepdims=True) * weight
         top = top * s ** (1.0 / p)
     out = top[..., 0]
     return float(out) if out.ndim == 0 else out
@@ -124,8 +130,13 @@ class RatioForm:
         return _ratios(pnorm(scaled, self.num_p, self.num_weight), self.denominators(values))
 
     def ratios(self, values: np.ndarray) -> np.ndarray:
-        # The unscaled transform is freed before the norms run.
-        return self.of(self.scaled(fwht(values)), values)
+        # The fresh transform is divided in place; ``scaled`` allocates,
+        # because a probe start's running transform estimate must keep
+        # its unscaled values.
+        transforms = fwht(values)
+        if self.divisor != 1:
+            transforms = _scale(np.divide, transforms, self.divisor)
+        return self.of(transforms, values)
 
 
 def hy_form(p: float, dim: int) -> RatioForm:

@@ -27,6 +27,18 @@ from .symbols import Symbol, resolvent_symbol
 MAX_DENSE_MULTIPLIER_LEVELS = 12
 
 
+def _scaled_transform(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``fwht(values) * diag``, written over the fresh transform where that
+    keeps the bytes (see ``dyadic._scale``)."""
+    return _scale(np.multiply, fwht(values), diag)
+
+
+def _inverse_fwht(x: np.ndarray) -> np.ndarray:
+    """``fwht(x) / N``, the inverse transform, written over the fresh
+    transform where that keeps the bytes."""
+    return _scale(np.divide, fwht(x), x.shape[-1])
+
+
 def apply_diag(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Multiplier with coefficient diagonal ``diag`` applied to cell values.
 
@@ -35,14 +47,13 @@ def apply_diag(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
     write over the transform they scale where that keeps the bytes (see
     ``dyadic._scale``), which saves two arrays the size of the result.
     """
-    scaled = _scale(np.multiply, fwht(values), diag)
-    return _scale(np.divide, fwht(scaled), diag.shape[-1])
+    return _inverse_fwht(_scaled_transform(diag, values))
 
 
 def kernel(diag: np.ndarray) -> np.ndarray:
     """Dyadic convolution kernel ``k = fwht(diag) / N``: every row and every
     column of the cell-space matrix is a permutation of it."""
-    return _scale(np.divide, fwht(diag), diag.shape[-1])
+    return _inverse_fwht(diag)
 
 
 def kernel_matrix(diag: np.ndarray) -> np.ndarray:
@@ -60,8 +71,9 @@ def kernel_matrix(diag: np.ndarray) -> np.ndarray:
 def apply(sym: Symbol, f: StepFunction) -> StepFunction:
     """Apply the multiplier: coefficient n is scaled by ``sym.value(n)``."""
     res = f.resolution
-    diag = sym.values(res.dim)
-    return StepFunction(res, apply_diag(diag, f.values))
+    # ``apply_diag`` in its two halves: the diagonal is built before the
+    # first transform and freed before the second.
+    return StepFunction(res, _inverse_fwht(_scaled_transform(sym.values(res.dim), f.values)))
 
 
 class MultiplierMatrix:

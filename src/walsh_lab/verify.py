@@ -85,6 +85,14 @@ def core_checks(seed: int = 0) -> list[CheckResult]:
     )
     gap = np.abs(fwht(v6) - naive).max()
     out.append(CheckResult("fwht equals naive double loop (m=6)", gap < 1e-12, f"max err = {gap:.2e}"))
+
+    # Past one cache tile: the head pass, an odd in-tile stage count and,
+    # with two usable CPUs, the shared path.  Every partial sum of +-1 +-1j
+    # entries is an integer below 2**41, so float64 computes it exactly.
+    n = 1 << 20
+    x = (1.0 - 2.0 * rng.integers(0, 2, n)) + 1j * (1.0 - 2.0 * rng.integers(0, 2, n))
+    exact = fwht(fwht(x)).tobytes() == (n * x).tobytes()
+    out.append(CheckResult("double transform = 2**m * id past one tile (m=20, exact)", exact))
     return out
 
 

@@ -142,18 +142,24 @@ def _assert_fwht_matches_reference(x):
 )
 @example(m=0, dtype=np.float64, lead=(), layout="C", tile_log2=19, seed=0)
 @example(m=0, dtype=np.int64, lead=(3,), layout="readonly", tile_log2=19, seed=0)
-# Split s = m: every stage streams the whole buffer, no block loop.
+# Split s = m: every stage runs in the head pass, tiles are one cell.
 @example(m=12, dtype=np.complex128, lead=(2, 3), layout="C", tile_log2=0, seed=0)
+# A head chunk (one group of 2**9 cells, one row) far larger than a tile.
 @example(m=9, dtype=np.uint8, lead=(3,), layout="F", tile_log2=4, seed=0)
-# Splits inside the range, one of them with a cast on the first read.
+# Splits inside the range, one of them with a cast on the first read: s = 7
+# leaves an odd 5 stages in the tiles (copied back), s = 7 at m = 11 an even 4.
 @example(m=12, dtype=np.complex128, lead=(2, 3), layout="C", tile_log2=12, seed=0)
 @example(m=11, dtype=np.float32, lead=(), layout="strided", tile_log2=7, seed=0)
+# Odd in-tile counts with several rows per chunk: s = 3 leaves 7 stages.
+@example(m=10, dtype=np.float64, lead=(3,), layout="F", tile_log2=12, seed=0)
+@example(m=10, dtype=np.bool_, lead=(2, 3), layout="C", tile_log2=13, seed=0)
 def test_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, tile_log2, seed):
-    # The tile size sets the split s at which blocks of ``N >> s`` cells run
-    # their remaining stages alone; from one byte up to the default it
-    # reaches every s in 0..m.  One usable CPU keeps every split on the
-    # calling thread; ``test_shared_fwht_bytes_match_radix2_reference``
-    # covers the shared path.
+    # The tile size sets the split s: the head pass runs stages 0..s-1 chunk
+    # by chunk, and tiles of ``N >> s`` cells run the rest alone; from one
+    # byte up to the default it reaches every s in 0..m.  One usable CPU
+    # keeps every split on the calling thread;
+    # ``test_shared_fwht_bytes_match_radix2_reference`` covers the shared
+    # path.
     rng = np.random.default_rng(seed)
     n = 1 << m
     if layout == "strided":
@@ -192,30 +198,45 @@ def _tile_for_split(x, split):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    m=st.integers(1, 12),
+    # (m, split): every split from 1 to m.
+    levels=st.integers(1, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
     dtype=st.sampled_from([np.bool_, np.uint8, np.int64, np.float64, np.complex128]),
     lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
     layout=st.sampled_from(["C", "T"]),
-    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-# Split s = m: every tile is one cell.
-@example(m=9, dtype=np.complex128, lead=(3,), layout="T", data=None, seed=0)
-def test_shared_fwht_bytes_match_radix2_reference(m, dtype, lead, layout, data, seed):
+# Split s = m: every tile is one cell, and a head chunk (one group of one
+# row) is far larger than a tile.
+@example(levels=(9, 9), dtype=np.complex128, lead=(3,), layout="T", seed=0)
+# Odd in-tile stage counts (copied back): 7 stages, 1 stage.
+@example(levels=(10, 3), dtype=np.complex128, lead=(), layout="C", seed=0)
+@example(levels=(12, 11), dtype=np.uint8, lead=(2, 5), layout="T", seed=0)
+def test_shared_fwht_bytes_match_radix2_reference(levels, dtype, lead, layout, seed):
     # Every split from 1 to m takes the shared path; "T" is a transposed batch.
-    split = m if data is None else data.draw(st.integers(1, m), label="split")
+    m, split = levels
     rng = np.random.default_rng(seed)
     x = _draw(rng, dtype, (*lead, 1 << m))
     if layout == "T":
         x = np.asfortranarray(x)
     shared = []
-    real_shared = dyadic._shared_transform
+    real_shared = dyadic._shared_passes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyadic, "_usable_cpus", lambda: 2)
         mp.setattr(dyadic, "FWHT_TILE_BYTES", _tile_for_split(x, split))
-        mp.setattr(dyadic, "_shared_transform", lambda *args: shared.append(args[4]) or real_shared(*args))
+        mp.setattr(dyadic, "_shared_passes", lambda *args: shared.append(args[3]) or real_shared(*args))
         _assert_fwht_matches_reference(x)
     assert shared == [split]
+
+
+# (40000, 8): one group of 8 cells of every row is 5 MB, so head chunks
+# take a few thousand rows each.
+@pytest.mark.parametrize("shape", [(1 << 20,), (64, 1 << 14), (40000, 8)])
+def test_fwht_holds_one_output_and_tile_sized_scratch(shape, traced_peak):
+    # Two scratch buffers of at most one tile for each of two threads; the
+    # two-buffer butterfly held a second output-sized array.
+    x = _draw(np.random.default_rng(22), np.complex128, shape)
+    fwht(x)  # starts the worker, if any, outside the trace
+    assert traced_peak(lambda: fwht(x)) <= x.nbytes + 8 * dyadic.FWHT_TILE_BYTES
 
 
 def test_fwht_from_two_threads_at_once_matches_serial(two_cpus):
@@ -250,7 +271,7 @@ def test_fwht_runs_serially_while_another_transform_holds_the_worker(two_cpus):
     x = _draw(np.random.default_rng(6), np.complex128, 1 << 16)
     got = []
     caller = threading.Thread(target=lambda: got.append(fwht(x)), daemon=True)
-    with mock.patch.object(dyadic, "_shared_transform", side_effect=AssertionError("shared")):
+    with mock.patch.object(dyadic, "_shared_passes", side_effect=AssertionError("shared")):
         with dyadic._worker_lock:
             caller.start()
             caller.join(timeout=60)

@@ -90,6 +90,36 @@ def test_batched_pnorm_matches_each_row_bit_for_bit(m, rows, p, weighted, layout
         assert single == value
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (2,), (64,), (3, 16), (2, 1)]),
+    kind=st.sampled_from("ifc"),
+    p=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 3.5, 4.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pnorm_in_place_keeps_the_allocating_bytes(shape, kind, p, seed):
+    # ``pnorm`` divides and powers the magnitudes in place; numpy takes the
+    # same scalar-power paths (square, sqrt, ...) as for ``q ** p``.
+    rng = np.random.default_rng(seed)
+    if kind == "i":
+        a = rng.integers(-1000, 1000, shape)
+    else:
+        a = rng.standard_normal(shape) * np.exp2(rng.integers(-300, 300, shape))
+        if kind == "c":
+            a = a + 1j * rng.standard_normal(shape)
+    mags = np.abs(a, order="C")
+    top = mags.max(axis=-1, keepdims=True, initial=0.0)
+    s = ((mags / np.where(top > 0, top, 1.0)) ** p).sum(axis=-1, keepdims=True) * 0.25
+    want = (top * s ** (1.0 / p))[..., 0]
+    assert np.asarray(pnorm(a, p, 0.25)).tobytes() == want.tobytes()
+
+
+def test_lp_norm_holds_one_float_temporary(traced_peak):
+    rng = np.random.default_rng(5)
+    f = StepFunction(Resolution(20), rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20))
+    assert traced_peak(lambda: lp_norm(f, 3)) <= 8 * f.resolution.dim + (1 << 20)
+
+
 def test_lq_of_analysis_is_parseval():
     rng = np.random.default_rng(0)
     res = Resolution(8)

@@ -78,6 +78,28 @@ def test_scaling_in_place_keeps_the_allocating_bytes(m, kinds, lead, layout, see
         assert analysis(f).coeffs.tobytes() == (fwht(f.values) / n).tobytes()
 
 
+def test_apply_matches_apply_diag_bit_for_bit():
+    # ``apply`` runs ``apply_diag``'s two halves itself, to free the
+    # diagonal before the second transform.
+    rng = np.random.default_rng(11)
+    for m in (0, 1, 5, 10):
+        f = rand_step(rng, m)
+        for sym in _family_zoo():
+            want = apply_diag(sym.values(f.resolution.dim), f.values)
+            assert apply(sym, f).values.tobytes() == want.tobytes()
+
+
+def test_apply_frees_the_diagonal_before_its_second_transform(traced_peak):
+    # The diagonal and the first transform, then that transform and the
+    # second, each with tile-sized scratch: about 2.1 outputs.  Holding the
+    # diagonal (or a second butterfly buffer) through the second transform
+    # adds a whole output.
+    f = rand_step(np.random.default_rng(12), 20)
+    sym = ReciprocalSymbol()
+    apply(sym, f)  # starts the transform worker, if any, outside the trace
+    assert traced_peak(lambda: apply(sym, f)) <= 2.6 * f.values.nbytes
+
+
 def test_constant_symbol_is_identity():
     rng = np.random.default_rng(0)
     f = rand_step(rng, 6)
