@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Resolution, _bit_reversal, fwht, walsh_step
+from .dyadic import FWHT_TILE_BYTES, Resolution, _bit_reversal, fwht, walsh_step
 from .metrics import (
     RatioForm,
     dual_exponent,
@@ -115,11 +115,12 @@ MAX_POWER_LEVELS = 12
 # four cutoffs were within the run-to-run spread.  The cutoff changes speed
 # only, never bytes.
 PROBE_SPECULATION_MAX_DIM = 1024
-# ``constant_probe`` refuses ``trials * 2**m`` above MAX_PROBE_ELEMS: its
-# (trials, 2**m) complex batch (16 B per element) and the temporaries of its
-# ratios (40 B, tracemalloc at m = 8, 12 and 16) peak at about
-# PROBE_BYTES_PER_ELEM, so 2**26 elements need about 3.8 GB.
-PROBE_BYTES_PER_ELEM = 56
+# ``constant_probe`` refuses ``trials * 2**m`` above MAX_PROBE_ELEMS: it holds
+# the real parts of all its random starts (8 B per element) and one tile of
+# rows at a time besides, so its traced peak is about PROBE_BYTES_PER_ELEM
+# (tracemalloc: 9.1 B at m = 8 with 10000 trials, 8.5 B at m = 10 with 4000,
+# 8.7 B at m = 12 with 1000), and 2**26 elements need about 0.6 GB.
+PROBE_BYTES_PER_ELEM = 9
 MAX_PROBE_ELEMS = 2**26
 # ``constant_probe`` also refuses m above MAX_PROBE_LEVELS, whatever the
 # trial count: the ascent screens three candidates per coordinate, each an
@@ -277,10 +278,21 @@ def _row_operators(diag: np.ndarray):
     Up to ``GEMM_MAX_DIM`` both are one product with the symmetric kernel
     matrix ``M`` (``x @ M`` and ``x @ conj(M)``); above it, the transform
     pair of ``apply_diag``.
+
+    ``M`` and ``conj(M)`` share one block (2 MiB at dim 256).  glibc maps a
+    block above its adaptive mmap threshold afresh, and freeing one raises
+    the threshold to its size, so after the first call this block comes
+    from reused heap pages.  As two 1 MiB blocks, each call at m = 8
+    faulted in about 600 fresh pages (``ru_minflt``; 1-1.4 ms of a 2.6 ms
+    reciprocal (1.5, 3) norm on a 2-vCPU VM) unless an earlier free of a
+    larger block had raised the threshold.
     """
     if diag.shape[-1] <= GEMM_MAX_DIM:
         mat = kernel_matrix(diag)
-        adj = np.conj(mat)
+        pair = np.empty((2, *mat.shape), dtype=mat.dtype)
+        pair[0] = mat
+        np.conjugate(mat, out=pair[1])
+        mat, adj = pair
         return (lambda v: v @ mat), (lambda v: v @ adj)
     conj_diag = np.conj(diag)
     return (lambda v: apply_diag(diag, v)), (lambda v: apply_diag(conj_diag, v))
@@ -739,14 +751,26 @@ def constant_probe(
 ) -> ConstantProbe:
     """Empirical lower bound for an analysis/synthesis constant.
 
-    Random complex starts evaluated in a batch, then coordinate sign/phase
-    ascent from the 4 best starts: at each coordinate in turn the moves
+    Seeded random complex starts are rated, then coordinate sign/phase
+    ascent runs from the 4 best starts: at each coordinate in turn the moves
     ``x_i -> -x_i``, then ``i x_i``, then ``-i x_i`` (each relative to the
     value kept so far) are tried, and a move is kept when it raises the ratio
     by more than a relative 1e-14.  A start stops after a pass with no kept
     move, or after 16 passes.  The observed maximum only ever grows, and the
     best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` and
     m above ``MAX_PROBE_LEVELS`` are refused before drawing.
+
+    *Starts.*  Start k is row k of ``re + 1j * im``, where ``re`` and then
+    ``im`` are ``(trials, 2**m)`` standard normal draws from
+    ``default_rng(seed)``.  ``re`` is drawn whole; ``im`` is drawn, and the
+    starts rated, in blocks of ``FWHT_TILE_BYTES // (16 * 2**m)`` rows, so
+    each rating is a one-tile transform.  Consecutive draws continue one
+    stream, and a batch row of ``fwht`` and ``pnorm`` is bit for bit the row
+    on its own, so the starts and ratios are those of one whole batch.  The
+    4 best go by a stable sort (ratio down, row up); they always lie among
+    the 4 best kept so far and the 4 best of the next block, so only those
+    rows are copied out of each block.  The phase holds about 8 B per
+    element (``re``) plus a few tiles: ``PROBE_BYTES_PER_ELEM``.
 
     Every decision is the one the one-candidate-at-a-time loop takes, which
     evaluates each candidate exactly (``hy_ratios`` or ``synthesis_ratios``:
@@ -833,17 +857,27 @@ def constant_probe(
         )
     form = make_form(p, dim)
     rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    ratios = form.ratios(batch)
+    # The starts, block by block (see *Starts* above); ``order`` lists the
+    # best rows so far and ``kept`` maps them to their vectors.
+    real = rng.standard_normal((trials, dim))
+    ratios = np.empty(trials)
+    kept = {}
+    step = max(1, FWHT_TILE_BYTES // (16 * dim))
+    for lo in range(0, trials, step):
+        block = real[lo : lo + step] + 1j * rng.standard_normal((min(step, trials - lo), dim))
+        ratios[lo : lo + step] = form.ratios(block)
+        for row in np.argsort(-ratios[lo : lo + step], kind="stable")[:_PROBE_STARTS].tolist():
+            kept[lo + row] = block[row].copy()
+        order = sorted(kept, key=lambda row: (-ratios[row], row))[:_PROBE_STARTS]
+        kept = {row: kept[row] for row in order}
+    del real, block
 
-    order = np.argsort(-ratios, kind="stable")[:_PROBE_STARTS]
+    xs = np.stack([kept[row] for row in order])
     best_ratio = float(ratios[order[0]])
-    best_witness = batch[order[0]].copy()
+    best_witness = xs[0].copy()
 
     cap = 4 * PROBE_SPECULATION_MAX_DIM // dim if dim <= PROBE_SPECULATION_MAX_DIM else 1
     rev = _bit_reversal(m)
-    xs = batch[order]
-    del batch
     starts = [
         _Start(x, transform, float(ratios[row]), form)
         for x, transform, row in zip(xs, fwht(xs), order)

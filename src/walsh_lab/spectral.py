@@ -42,6 +42,8 @@ INF = math.inf
 
 _WITNESS_SCAN = 1 << 16
 _MAX_WITNESSES = 12
+# ``riesz_schauder_check`` counts the values of this many indices at a time.
+_COUNT_BLOCK = 1 << 16
 
 IN_SPECTRUM = "in_spectrum"
 IN_RESOLVENT = "in_resolvent"
@@ -293,33 +295,42 @@ def separation_distance(
     return measured, formula
 
 
+def _counts_at_least(sym: Symbol, start: int, stop: int, eps: np.ndarray) -> np.ndarray:
+    """Per threshold, the number of n in [start, stop) with ``|a_n| >= eps``,
+    counted ``_COUNT_BLOCK`` indices at a time (``_range`` is elementwise)."""
+    counts = np.zeros(eps.size, dtype=np.int64)
+    for lo in range(start, stop, _COUNT_BLOCK):
+        mags = np.abs(sym._range(lo, min(lo + _COUNT_BLOCK, stop)))
+        counts += (mags[:, None] >= eps).sum(axis=0)
+    return counts
+
+
 def riesz_schauder_check(sym: Symbol, res: Resolution, eps_grid) -> list[dict]:
     """Finite-count check for the accumulation structure of a decaying symbol.
 
     For each threshold the number of coefficient values at or above it must
     be finite uniformly in the resolution: the count is computed at m and
     m + 1 and certified final when the analytic tail sup has dropped below
-    the threshold.  Zero must lie in the closure of the values.
+    the threshold.  Zero must lie in the closure of the values.  The values
+    are counted block by block, never held whole.
     """
     if not sym.is_c0:
         raise ValueError("accumulation check applies only to symbols with a_n -> 0")
     if res.m > MAX_TRANSFORM_LEVELS:
         raise ValueError(f"accumulation check limited to m <= {MAX_TRANSFORM_LEVELS}, got {res.m}")
-    rows = []
+    eps = np.array([float(e) for e in eps_grid])
+    if (eps <= 0).any():
+        raise ValueError("thresholds must be positive")
     m2 = res.m + 1
-    vals2 = np.abs(sym.values(1 << m2))
-    vals1 = vals2[: res.dim]
+    counts1 = _counts_at_least(sym, 0, res.dim, eps)
+    counts2 = counts1 + _counts_at_least(sym, res.dim, 1 << m2, eps)
     zero_ok = sym.closure_distance(0.0) <= 1e-15
-    for eps in eps_grid:
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError("thresholds must be positive")
-        count1 = int((vals1 >= eps).sum())
-        count2 = int((vals2 >= eps).sum())
-        settled = sym.tail_sup((1 << m2) - 1) < eps
+    rows = []
+    for e, count1, count2 in zip(eps.tolist(), counts1.tolist(), counts2.tolist()):
+        settled = sym.tail_sup((1 << m2) - 1) < e
         rows.append(
             {
-                "eps": eps,
+                "eps": e,
                 "count": count1,
                 "count_next": count2,
                 "stabilized": bool(count1 == count2 and settled),

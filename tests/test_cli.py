@@ -164,6 +164,21 @@ def test_import_and_small_fwht_start_no_thread():
     assert _last_line_of_fresh_python(code) == "1 False"
 
 
+_MAXRSS_KB = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+
+
+def test_probe_constants_process_stays_near_the_import_footprint(tmp_path):
+    # The probe holds the real parts of its starts (4 MB here) and a few
+    # tiles; rating the whole complex batch at once peaked about 23 MB above
+    # the import.
+    base = int(_last_line_of_fresh_python(f"import walsh_lab.cli\n{_MAXRSS_KB}"))
+    argv = ["sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "8",
+            "--trials", "2000", "--out", str(tmp_path / "probe.csv")]
+    code = f"import walsh_lab.cli\nassert walsh_lab.cli.main({argv!r}) == 0\n{_MAXRSS_KB}"
+    probe = int(_last_line_of_fresh_python(code))
+    assert probe - base <= 12 * 1024, f"{probe - base} kB over the import"
+
+
 def _last_line_of_fresh_python(code: str) -> str:
     src = str(Path(walsh_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -254,7 +269,7 @@ def test_probe_constants_refuses_batches_that_cannot_fit_in_memory(capsys, tmp_p
     )
     assert code == 2 and out == ""
     assert err.startswith("config error: probe batch of 10000 trials x 2**16 cells")
-    assert "36.7 GB" in err
+    assert "5.9 GB" in err
     assert not out_file.exists()
 
 

@@ -28,7 +28,7 @@ from walsh_lab import (
     resolvent_symbol,
     tail_norm,
 )
-from walsh_lab.dyadic import _bit_reversal, fwht
+from walsh_lab.dyadic import FWHT_TILE_BYTES, _bit_reversal, fwht
 from walsh_lab.metrics import (
     hy_exponent,
     hy_form,
@@ -476,9 +476,9 @@ def test_probe_refuses_batches_that_cannot_fit_in_memory(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(module.np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match="36.7 GB"):
+        with pytest.raises(ValueError, match="5.9 GB"):
             constant_probe("hy", 1.5, Resolution(16), trials=10000)
-        with pytest.raises(ValueError, match="3.8 GB"):
+        with pytest.raises(ValueError, match="0.6 GB"):
             constant_probe("synthesis", 1.25, Resolution(10), trials=MAX_PROBE_ELEMS // 1024 + 1)
 
     # The bound itself is admitted.
@@ -545,6 +545,11 @@ def _constant_probe_reference(inequality, p, res, trials=10000, seed=0):
 # witness (hy), comes out different.
 @example(case=("synthesis", 1.25), m=4, trials=1, seed=2)
 @example(case=("hy", 1.5), m=2, trials=1, seed=2)
+# Starts drawn and rated in several tile-sized row blocks, the last one short
+# (128, 128, 44 rows; 512, 512, 76 rows), and in one row.
+@example(case=("hy", 1.5), m=8, trials=300, seed=4)
+@example(case=("synthesis", 1.25), m=6, trials=1100, seed=2)
+@example(case=("synthesis", 1.25), m=8, trials=1, seed=5)
 def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed):
     # The speculative blocks replay the same first-improvement sweep, so the
     # ratio and the witness bytes are those of the reference loop.
@@ -554,6 +559,37 @@ def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed):
     ratio, witness = _constant_probe_reference(inequality, p, res, trials=trials, seed=seed)
     assert probe.best_ratio == ratio
     assert probe.witness.tobytes() == witness.tobytes()
+
+
+def test_streamed_starts_break_ties_across_blocks_in_row_order():
+    # Under Parseval hundreds of ratios tie at the top, in all three blocks
+    # of 512 rows; the 4 starts are the lowest tied rows, as in one stable
+    # sort of the whole batch.
+    res, trials, seed = Resolution(6), 1500, 5
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((trials, res.dim)) + 1j * rng.standard_normal((trials, res.dim))
+    ratios = hy_ratios(batch, 2.0)
+    tied = np.flatnonzero(ratios == ratios.max())
+    assert tied.size > 4 and set(tied // 512) == {0, 1, 2}
+
+    probe = constant_probe("hy", 2.0, res, trials=trials, seed=seed)
+    ratio, witness = _constant_probe_reference("hy", 2.0, res, trials=trials, seed=seed)
+    assert probe.best_ratio == ratio
+    assert probe.witness.tobytes() == witness.tobytes()
+
+
+@pytest.mark.parametrize("block_rows, tiles", [(None, 8), (8, 2)])
+def test_probe_start_phase_holds_the_real_parts_and_a_few_tiles(traced_peak, monkeypatch, block_rows, tiles):
+    # The real parts of all starts (8 B per element) stay whole; the rest is
+    # a few tiles: 5.3 measured with one-tile blocks, 0.5 with 8-row blocks,
+    # where keeping the best 4 rows of every block would hold half the batch.
+    # Rating the whole complex batch at once peaked at 104 MB, 41 B per element.
+    trials, res = 10000, Resolution(8)
+    if block_rows is not None:
+        module = importlib.import_module("walsh_lab.opnorm")
+        monkeypatch.setattr(module, "FWHT_TILE_BYTES", 16 * res.dim * block_rows)
+    peak = traced_peak(lambda: constant_probe("hy", 1.5, res, trials=trials))
+    assert peak <= 8 * trials * res.dim + tiles * FWHT_TILE_BYTES
 
 
 def _counting_transforms(monkeypatch):
@@ -571,12 +607,12 @@ def _counting_transforms(monkeypatch):
 
 def test_probe_ascent_batches_its_transforms(monkeypatch):
     # The screen decides every move here, so the exact transforms are the
-    # random starts, the four starts' own, one refresh per further pass
-    # (17 here) and the final ratios.  One transform per candidate move
-    # would make 4036.
+    # random starts (in blocks of one tile, 512 rows at m = 6), the four
+    # starts' own, one refresh per further pass (17 here) and the final
+    # ratios.  One transform per candidate move would make 4036.
     calls = _counting_transforms(monkeypatch)
     constant_probe("hy", 1.5, Resolution(6), trials=2000, seed=1)
-    assert calls == [(2000, 64), (4, 64)] + [(64,)] * 17 + [(4, 64)]
+    assert calls == [(512, 64)] * 3 + [(464, 64), (4, 64)] + [(64,)] * 17 + [(4, 64)]
 
 
 def test_probe_fallbacks_stay_batched_at_p2(monkeypatch):
@@ -586,7 +622,8 @@ def test_probe_fallbacks_stay_batched_at_p2(monkeypatch):
     calls = _counting_transforms(monkeypatch)
     probe = constant_probe("hy", 2.0, Resolution(6), trials=2000, seed=1)
     rows = [12, 24, 48, 96, 192, 384, 12]  # 4 starts x 3 moves x 1, 2, ..., 32, 1
-    assert calls == [(2000, 64), (4, 64)] + [(r, 64) for r in rows] + [(4, 64)]
+    starts = [(512, 64)] * 3 + [(464, 64)]
+    assert calls == starts + [(4, 64)] + [(r, 64) for r in rows] + [(4, 64)]
     assert probe.best_ratio == pytest.approx(1.0, abs=1e-12)
 
 

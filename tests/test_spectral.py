@@ -41,6 +41,7 @@ from walsh_lab import (
 from walsh_lab.cli import main
 from walsh_lab.dyadic import fwht
 from walsh_lab.spectral import (
+    _COUNT_BLOCK,
     _MAX_WITNESSES,
     _WITNESS_SCAN,
     IN_RESOLVENT,
@@ -318,6 +319,50 @@ def test_riesz_schauder_counts():
     rows = riesz_schauder_check(ConstantSymbol(0.0), Resolution(6), [0.5, 0.01])
     assert all(r["count"] == 0 for r in rows)
     assert all(r["zero_in_closure"] for r in rows)
+
+
+_C0_SYMBOLS = [
+    ReciprocalSymbol(),
+    GeometricSymbol(0.7),
+    GeometricSymbol(0.999 * cmath.exp(0.3j)),
+    UnitDiracSymbol(5),
+    ExplicitSymbol([3.0, 1j, -0.5, 0.25], "zero"),
+    ConstantSymbol(0.0),
+    tail(GeometricSymbol(0.9999), 10),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(_C0_SYMBOLS) - 1),
+    m=st.integers(0, 12),
+    block_log2=st.integers(0, 16),
+    picks=st.lists(st.integers(0, (1 << 13) - 1), min_size=1, max_size=3),
+    extra=st.lists(st.floats(1e-6, 4.0), max_size=2),
+)
+@example(index=0, m=12, block_log2=16, picks=[9], extra=[0.05])
+def test_riesz_schauder_counts_match_the_whole_array(index, m, block_log2, picks, extra):
+    # Counting block by block gives the counts of the whole value array at
+    # m and m + 1, thresholds equal to values included.
+    sym = _C0_SYMBOLS[index]
+    res = Resolution(m)
+    mags = np.abs(sym.values(2 * res.dim))
+    eps = [float(mags[i % mags.size]) for i in picks] + extra
+    eps = [e for e in eps if e > 0] or [0.5]
+    module = importlib.import_module("walsh_lab.spectral")
+    with mock.patch.object(module, "_COUNT_BLOCK", 1 << block_log2):
+        rows = riesz_schauder_check(sym, res, eps)
+    for row, e in zip(rows, eps):
+        assert row["count"] == int((mags[: res.dim] >= e).sum())
+        assert row["count_next"] == int((mags >= e).sum())
+
+
+@pytest.mark.parametrize("sym", [ReciprocalSymbol(), GeometricSymbol(0.999)], ids=["reciprocal", "geometric"])
+def test_riesz_schauder_holds_one_block_at_a_time(sym, traced_peak):
+    # The whole 2**21 complex values and their moduli peaked at 50.3 MB;
+    # one block of 2**16 is 1 MB, its moduli 0.5 MB (2.1-2.2 MB measured).
+    peak = traced_peak(lambda: riesz_schauder_check(sym, Resolution(20), [0.5, 0.1, 0.05]))
+    assert peak <= 4 * 16 * _COUNT_BLOCK
 
 
 def test_riesz_schauder_rejects_non_decaying():
