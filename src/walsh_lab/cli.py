@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cutoffs", default="1,3,7,15,31", help="strictly increasing truncation cutoffs")
     s.add_argument("--grid", default=None, help="re_min,re_max,im_min,im_max,steps")
     s.add_argument("--inequality", default=None, help="hy | synthesis (probe-constants)")
-    s.add_argument("--trials", type=int, default=10000)
+    s.add_argument("--trials", type=int, default=10000,
+                   help="echoed in the probe-constants row; the probed constants are exact")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--out", default=None, help="output path (default: stdout)")

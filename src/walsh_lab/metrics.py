@@ -8,7 +8,6 @@ and handled as the max norm; the dual exponent pairs 1 with inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,67 +102,23 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-@dataclass(frozen=True)
-class RatioForm:
-    """A ratio ``pnorm(fwht(x) / divisor, num_p, num_weight) / pnorm(x, den_p,
-    den_weight)`` of the transform of x to x, row-wise, 0 for a zero row.
-
-    ``hy_ratios`` and ``synthesis_ratios`` are two such forms; the probe
-    ascent takes the parts apart, to evaluate candidates from a transform it
-    updates itself.
-    """
-
-    num_p: float
-    num_weight: float
-    divisor: int
-    den_p: float
-    den_weight: float
-
-    def scaled(self, transforms: np.ndarray) -> np.ndarray:
-        return transforms if self.divisor == 1 else transforms / self.divisor
-
-    def denominators(self, values: np.ndarray):
-        return pnorm(values, self.den_p, self.den_weight)
-
-    def of(self, scaled: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The ratios, given ``scaled = self.scaled(fwht(values))``."""
-        return _ratios(pnorm(scaled, self.num_p, self.num_weight), self.denominators(values))
-
-    def ratios(self, values: np.ndarray) -> np.ndarray:
-        # The fresh transform is divided in place; ``scaled`` allocates,
-        # because a probe start's running transform estimate must keep
-        # its unscaled values.
-        transforms = fwht(values)
-        if self.divisor != 1:
-            transforms = _scale(np.divide, transforms, self.divisor)
-        return self.of(transforms, values)
-
-
-def hy_form(p: float, dim: int) -> RatioForm:
-    """``||fwht(x) / dim||_{p'} / ||x||_{L^p}`` on ``dim`` cells; p unchecked."""
-    return RatioForm(dual_exponent(p), 1.0, dim, p, 1.0 / dim)
-
-
-def synthesis_form(p: float, dim: int) -> RatioForm:
-    """``||fwht(c)||_{L^p} / ||c||_{p'}`` on ``dim`` coefficients; p unchecked."""
-    return RatioForm(p, 1.0 / dim, 1, dual_exponent(p), 1.0)
-
-
 def hy_ratios(values: np.ndarray, p: float) -> np.ndarray:
     """``hy_ratio`` of each row of cell values, 0 for a zero row; p unchecked."""
-    return hy_form(p, values.shape[-1]).ratios(values)
+    dim = values.shape[-1]
+    coeffs = _scale(np.divide, fwht(values), dim)
+    return _ratios(pnorm(coeffs, dual_exponent(p)), pnorm(values, p, 1.0 / dim))
 
 
 def synthesis_ratios(coeffs: np.ndarray, p: float) -> np.ndarray:
     """``synthesis_ratio`` of each row of coefficients, 0 for a zero row; p unchecked."""
-    return synthesis_form(p, coeffs.shape[-1]).ratios(coeffs)
+    return _ratios(pnorm(fwht(coeffs), p, 1.0 / coeffs.shape[-1]), pnorm(coeffs, dual_exponent(p)))
 
 
 def hy_ratio(f: StepFunction, p: float) -> float:
     """Ratio ||f_hat||_{p'} / ||f||_p for 1 < p <= 2.
 
-    Each observed ratio is a lower bound for the best analysis constant at
-    this resolution.  At p = 2 the ratio is identically 1 (Parseval).
+    At most 1, attained by ``W_0`` (``opnorm.constant_probe`` gives the
+    proof).  At p = 2 the ratio is identically 1 (Parseval).
     """
     p = hy_exponent(p)
     if not f.values.any():
@@ -174,8 +129,8 @@ def hy_ratio(f: StepFunction, p: float) -> float:
 def synthesis_ratio(c: CoeffVector, p: float) -> float:
     """Ratio ||sum c_n W_n||_p / ||c||_{p'} for 1 < p < 2.
 
-    Lower bound for the best synthesis constant at this resolution; no
-    ceiling is asserted (see the constant probes for measured growth).
+    At most ``2**(m/p - m/2)`` at resolution m, attained by
+    ``c_n = i**|n|`` (``opnorm.constant_probe`` gives the proof).
     """
     p = synthesis_exponent(p)
     if not c.coeffs.any():

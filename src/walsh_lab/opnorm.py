@@ -49,22 +49,13 @@ about which path produced a value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import FWHT_TILE_BYTES, Resolution, _bit_reversal, fwht, walsh_step
-from .metrics import (
-    RatioForm,
-    dual_exponent,
-    hy_exponent,
-    hy_form,
-    pnorm,
-    synthesis_exponent,
-    synthesis_form,
-)
+from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, fwht, walsh_step
+from .metrics import dual_exponent, hy_exponent, pnorm, synthesis_exponent
 from .multiplier import apply_diag, kernel_matrix
 from .symbols import ExplicitSymbol, Symbol, tail
 
@@ -91,11 +82,12 @@ _EPS = np.finfo(np.float64).eps
 # (0.78 against 0.52-0.55 ms).  Moving the cutoff would also change the
 # rounding, and so the printed bytes, of power-loop values at the dims
 # between the old and the new cutoff.  After each product OpenBLAS's worker
-# threads spin for a while, and that CPU is billed to whatever runs next: a
-# ``constant_probe("hy", 1.5, Resolution(6), trials=2000)`` right after an
-# m = 8 ``opnorm`` took 61 ms wall and 120 ms CPU on the VM above, against
-# 55 ms of each with OPENBLAS_NUM_THREADS=1 (and CPU no more than wall after
-# a second idle).  numpy offers no per-call thread control, and this package
+# threads spin for a while, and that CPU is billed to whatever runs next.
+# Measured when ``constant_probe`` still ran a random-start ascent of numpy
+# calls (hy 1.5, m = 6, 2000 trials): right after an m = 8 ``opnorm`` it took
+# 61 ms wall and 120 ms CPU on the VM above, against 55 ms of each with
+# OPENBLAS_NUM_THREADS=1 (and CPU no more than wall after a second idle).
+# numpy offers no per-call thread control, and this package
 # sets no environment variable: a caller who counts CPU time can set
 # OPENBLAS_NUM_THREADS=1 before numpy is first imported.
 GEMM_MAX_DIM = 256
@@ -104,43 +96,6 @@ GEMM_MAX_DIM = 256
 # takes about 18 ms on the VM above, so 500 steps about 9 s; each further
 # level doubles both.
 MAX_POWER_LEVELS = 12
-# The constant probes' ascent screens the candidates of all its starts in
-# each round (``constant_probe``); a start's block holds up to
-# ``4 * PROBE_SPECULATION_MAX_DIM // dim`` coordinates (three rows each) at or
-# below this dimension and one coordinate above it.  A screened row costs an
-# O(dim) update and norm, and each round a fixed numpy overhead.  On the VM
-# above (one run each), hy 1.5 at m = 10 with 50 trials took 3.8 s at this
-# cutoff against 4.5 s at 256, 4.0 s at 4096 and 4.9 s at 16384 (synthesis
-# 1.5: 5.1 against 6.4, 5.8 and 8.1 s); at m = 6 and 8 with 2000 trials the
-# four cutoffs were within the run-to-run spread.  The cutoff changes speed
-# only, never bytes.
-PROBE_SPECULATION_MAX_DIM = 1024
-# ``constant_probe`` refuses ``trials * 2**m`` above MAX_PROBE_ELEMS: it holds
-# the real parts of all its random starts (8 B per element) and one tile of
-# rows at a time besides, so its traced peak is about PROBE_BYTES_PER_ELEM
-# (tracemalloc: 9.1 B at m = 8 with 10000 trials, 8.5 B at m = 10 with 4000,
-# 8.7 B at m = 12 with 1000), and 2**26 elements need about 0.6 GB.
-PROBE_BYTES_PER_ELEM = 9
-MAX_PROBE_ELEMS = 2**26
-# ``constant_probe`` also refuses m above MAX_PROBE_LEVELS, whatever the
-# trial count: the ascent screens three candidates per coordinate, each an
-# O(2**m) update and norm, so a pass costs O(4**m).
-# ``constant_probe("synthesis", 1.5, Resolution(m), trials=50, seed=3)`` took
-# 6.0 / 17.6 / 52.8 s at m = 10 / 11 / 12 on the VM above (hy 1.5: 4.1 / 12.6
-# / 37.7 s), about 3x per level; at m = 20 it would take days.
-MAX_PROBE_LEVELS = 12
-_PROBE_STARTS = 4
-_PROBE_PASSES = 16
-# The ascent's moves in trial order, each with the quarter turns it adds.
-_MOVES = ((-1.0, 2), (1j, 1), (-1j, 3))
-_MOVE_MULTIPLIERS = np.array([mul for mul, _ in _MOVES])
-# The row, in move order, of the candidate one, two and three quarter turns on.
-_ROW_OF_TURN = (1, 0, 2)
-# A move is kept when it raises the ratio past ``current * _GAIN``.
-_GAIN = 1.0 + 1e-14
-# Factor on the probe screen's first-order error bound (``constant_probe``).
-_SCREEN_SAFETY = 2.0
-_ETA = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -161,10 +116,13 @@ class NormEstimate:
 
 @dataclass
 class ConstantProbe:
-    """Best observed ratio for one of the measured inequalities.
+    """A ratio of one of the measured inequalities, with the witness that
+    attains it; ``recompute()`` re-rates the witness.
 
-    ``best_ratio`` is reproducible from the stored witness; the constants
-    themselves are never asserted, only measured.
+    ``kind`` is ``exact`` when ``best_ratio`` is the constant itself: the
+    analysis and synthesis probes of ``constant_probe`` return the closed
+    forms, with their proofs there.  A ``multiplier_bound`` ratio comes from
+    a power-iteration lower bound and is tagged ``lower``.
     """
 
     inequality: str  # 'hy' | 'synthesis' | 'multiplier_bound'
@@ -175,6 +133,7 @@ class ConstantProbe:
     trials: int = 0
     seed: int = 0
     symbol: Symbol | None = None
+    kind: str = LOWER
 
     def recompute(self) -> float:
         """Re-evaluate the ratio from the stored witness."""
@@ -621,127 +580,6 @@ def multiplier_bound_check(
     )
 
 
-class _Start:
-    """One start of the probe ascent: its vector, the running estimate of its
-    transform, and the bracket ``[lo, hi]`` known to hold its exact ratio."""
-
-    def __init__(self, x: np.ndarray, transform: np.ndarray, ratio: float, form: RatioForm):
-        self.x = x
-        self.transform = transform
-        self.lo = self.hi = ratio
-        self.updates = 0  # rank-one updates since ``transform`` was exact
-        self.den = float(form.denominators(x))
-        self.l1 = float(np.abs(x).sum()) + x.size * _ETA
-        self.pos = self.passes = 0
-        self.size = 1
-        self.improved = False
-
-    def move(self, i: int, value: complex, transform: np.ndarray | None) -> None:
-        """Set ``x_i`` and the transform estimate, one update further on."""
-        self.x[i] = value
-        self.transform = transform
-        self.updates += 1
-
-    def refresh(self, form: RatioForm) -> None:
-        """Exact transform and ratio, bit for bit those of ``form.ratios``."""
-        self.transform = fwht(self.x)
-        self.updates = 0
-        self.lo = self.hi = float(form.of(form.scaled(self.transform), self.x))
-
-
-def _candidate_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows of x with ``x_i`` replaced by ``-x_i``, ``i x_i`` and ``-i x_i`` in
-    turn, three per coordinate of ``idx``: shape ``(3 * len(idx), dim)``."""
-    size = idx.size
-    rows = np.repeat(x[None], 3 * size, axis=0)
-    rows.reshape(size, 3, -1)[np.arange(size), :, idx] = x[idx, None] * _MOVE_MULTIPLIERS
-    return rows
-
-
-def _screen(form: RatioForm, rev: np.ndarray, blocks):
-    """Estimated transforms and certified ratio brackets of the three moves at
-    every coordinate of every block ``(start, idx)``, all blocks in one batch;
-    ``rev`` is ``_bit_reversal(m)``.  For the C coordinates of the blocks in
-    turn, returns the estimated transforms times ``W_i``, shape
-    ``(C, 3, dim)`` in the move order ``-1, +i, -i``; the ``W_i``, shape
-    ``(C, dim)``; and nested lists ``lo``, ``hi`` of shape ``(C, 3)``
-    ordered by quarter turns 1, 2, 3.  See ``constant_probe`` for the bound.
-    """
-    dim = rev.size
-    m = dim.bit_length() - 1
-    u = _EPS / 2
-    grow = (form.num_weight * dim) ** (1.0 / form.num_p)
-    rho = (dim / form.num_p + m + 16) * u
-    sizes = [idx.size for _, idx in blocks]
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    coords = np.concatenate([idx for _, idx in blocks])
-    # Column i of the Paley matrix, W_i on the cells: exactly +-1.
-    signs = 1.0 - 2.0 * (np.bitwise_count(rev[coords, None] & np.arange(dim)) & 1)
-    xi = np.stack([st.x for st, _ in blocks])[owner, coords][:, None]
-    steps = xi * _MOVE_MULTIPLIERS - xi
-    # ``w * F + step`` is ``w * (F + w * step)`` bit for bit (w = +-1, and
-    # rounding is symmetric), so it has the candidate's moduli.
-    signed = np.stack([st.transform for st, _ in blocks])[owner] * signs
-    rows = signed[:, None, :] + steps[:, :, None]
-    num = pnorm(rows, form.num_p, form.num_weight)[:, _ROW_OF_TURN] / form.divisor
-
-    # Per start, the bracket is ``est +- (slope * est + offset)``.  With a
-    # zero denominator every candidate's ratio is exactly 0: dividing by inf
-    # and a zero offset give the bracket [0, 0].
-    dens, offsets = [], []
-    for st, _ in blocks:
-        if st.den > 0:
-            drift = grow * ((2 * m + 5 * (st.updates + 1)) * u * st.l1 / form.divisor + 2 * _ETA)
-            dens.append(st.den)
-            offsets.append(_SCREEN_SAFETY * ((drift + 2 * (grow + 1) * _ETA) / st.den + 2 * _ETA))
-        else:
-            dens.append(INF)
-            offsets.append(0.0)
-    est = num / np.repeat(dens, sizes)[:, None]
-    margin = _SCREEN_SAFETY * (2 * rho + 2 * u) * est + np.repeat(offsets, sizes)[:, None]
-    return rows, signs, (est - margin).tolist(), (est + margin).tolist()
-
-
-def _sweep(x_i, lo, hi):
-    """The ``-1, +i, -i`` first-improvement sweep at one coordinate, decided
-    from brackets: ``lo[t] <= ratio <= hi[t]`` at ``x_i * i**t`` (t = 0 is the
-    vector as it stands).  Returns the kept value and its quarter turns, or
-    None when a bracket leaves a comparison open."""
-    keep, turns = x_i, 0
-    for mul, quarter in _MOVES:
-        t = (turns + quarter) % 4
-        if lo[t] > hi[turns] * _GAIN:
-            keep, turns = keep * mul, t
-        elif not hi[t] <= lo[turns] * _GAIN:
-            return None
-    return keep, turns
-
-
-def _replay(st: _Start, idx, rows: np.ndarray, signs: np.ndarray, lo, hi, cap: int) -> int | None:
-    """Sweep the coordinates ``idx`` of a start in order, from the brackets
-    ``lo``, ``hi`` of their moves (as ``_screen`` returns them), until a move
-    is kept.  A kept move updates the vector, the transform estimate (the
-    candidate's estimated row, or None when ``rows`` is None: no screen ran)
-    and the start's bracket.  Returns None after moving the start past the
-    coordinates it decided, else the position in ``idx`` of the first
-    coordinate a bracket left open."""
-    for j, i in enumerate(idx):
-        lo4 = (st.lo, *lo[j])
-        hi4 = (st.hi, *hi[j])
-        swept = _sweep(st.x[i], lo4, hi4)
-        if swept is None:
-            return j
-        keep, turns = swept
-        if turns:
-            st.move(i, keep, None if rows is None else rows[j, _ROW_OF_TURN[turns - 1]] * signs[j])
-            st.lo, st.hi = lo4[turns], hi4[turns]
-            st.pos, st.size, st.improved = i + 1, 1, True
-            return None
-    st.pos = idx[-1] + 1
-    st.size = min(2 * st.size, cap)
-    return None
-
-
 def constant_probe(
     inequality: str,
     p: float,
@@ -749,195 +587,53 @@ def constant_probe(
     trials: int = 10000,
     seed: int = 0,
 ) -> ConstantProbe:
-    """Empirical lower bound for an analysis/synthesis constant.
+    """The exact analysis or synthesis constant at resolution m, N = 2**m,
+    with a witness that attains it.
 
-    Seeded random complex starts are rated, then coordinate sign/phase
-    ascent runs from the 4 best starts: at each coordinate in turn the moves
-    ``x_i -> -x_i``, then ``i x_i``, then ``-i x_i`` (each relative to the
-    value kept so far) are tried, and a move is kept when it raises the ratio
-    by more than a relative 1e-14.  A start stops after a pass with no kept
-    move, or after 16 passes.  The observed maximum only ever grows, and the
-    best witness is stored.  ``trials * 2**m`` above ``MAX_PROBE_ELEMS`` and
-    m above ``MAX_PROBE_LEVELS`` are refused before drawing.
+    *Analysis* (``hy``, 1 < p <= 2): ``sup ||f_hat||_{p'} / ||f||_{L^p} = 1``.
+    ``|f_hat(n)| <= ||f||_{L^1}`` makes the constant 1 at p = 1, and Parseval
+    makes it 1 at p = 2, so Riesz-Thorin bounds it by 1 in between.  ``W_0``,
+    all cells 1, has ``f_hat = e_0`` and attains 1.
 
-    *Starts.*  Start k is row k of ``re + 1j * im``, where ``re`` and then
-    ``im`` are ``(trials, 2**m)`` standard normal draws from
-    ``default_rng(seed)``.  ``re`` is drawn whole; ``im`` is drawn, and the
-    starts rated, in blocks of ``FWHT_TILE_BYTES // (16 * 2**m)`` rows, so
-    each rating is a one-tile transform.  Consecutive draws continue one
-    stream, and a batch row of ``fwht`` and ``pnorm`` is bit for bit the row
-    on its own, so the starts and ratios are those of one whole batch.  The
-    4 best go by a stable sort (ratio down, row up); they always lie among
-    the 4 best kept so far and the 4 best of the next block, so only those
-    rows are copied out of each block.  The phase holds about 8 B per
-    element (``re``) plus a few tiles: ``PROBE_BYTES_PER_ELEM``.
+    *Synthesis* (1 < p < 2): ``sup ||g||_{L^p} / ||c||_{p'} = N**(1/p - 1/2)``
+    for ``g = sum c_n W_n``.  ``||g||_{L^p} <= ||g||_{L^2}`` on a probability
+    space, ``||g||_{L^2} = ||c||_2`` (Parseval) and
+    ``||c||_2 <= N**(1/p - 1/2) ||c||_{p'}`` (Hoelder).  Equality needs |g|
+    and |c| constant: ``c_n = i**|n|``, |n| the popcount, is the Kronecker
+    power ``(1, i)**(x m)``, and its g, ``(1 + i, 1 - i)**(x m)``, has modulus
+    ``2**(m/2)`` on every cell.  The value is ``2.0 ** (m/p - m/2)``, so exact
+    powers of two stay exact.  The witness is looked up by popcount, not
+    built by ``np.kron``, whose signed zeros would depend on the build order.
 
-    Every decision is the one the one-candidate-at-a-time loop takes, which
-    evaluates each candidate exactly (``hy_ratios`` or ``synthesis_ratios``:
-    one transform and two norms), so ``best_ratio`` and the witness bytes are
-    those of that loop.  Write the ratio as ``pnorm(H x / d, r, w) / den(x)``
-    (``metrics.RatioForm``), H the Paley matrix, N = 2**m and u = eps / 2.
-
-    *Screen.*  Each start keeps an estimate F of ``H x``.  The move
-    ``x_i -> mu x_i`` (mu in {-1, i, -i}) changes ``H x`` by
-    ``(mu - 1) x_i w_i``, where ``w_i``, column i of the symmetric H, is
-    ``W_i`` on the cells and exactly +-1, so a candidate costs one O(N)
-    update and one ``pnorm``.  Its denominator is the start's own, bit for
-    bit: products by +-1 and +-i are exact and the modulus ignores signs and
-    order, so ``|mu x_i| == |x_i|``.  A candidate's exact ratio lies within
-    the estimate ``pnorm(F', r, w) / d / den`` plus or minus the sum of
-    (``L1 = ||x||_1``, which moves never change; k the updates since F was
-    exact):
-
-    * the transforms' error: F and the exact path's ``fwht`` each lie within
-      ``m u L1`` of ``H x'`` in every entry (a depth-m tree of additions),
-      and each update adds at most ``5 u L1`` (``fl(mu x_i - x_i)`` and the
-      sum), so they differ by at most ``(2 m + 5 (k + 1)) u L1`` per entry,
-      and the numerators by ``(w N)**(1/r) / d`` times that;
-    * ``pnorm``'s own rounding on each side, relative
-      ``rho = (N / r + m + 16) u`` (the moduli, the quotients by the max, the
-      powers, an N-term sum of nonnegative terms, the root);
-    * the quotient by ``den``, one rounding on each side;
-    * a few subnormal steps for underflow in the moduli, the division by d
-      and the results.
-
-    The bracket is the estimate plus and minus ``_SCREEN_SAFETY = 2`` times
-    that first-order bound, which covers the dropped ``(1 + O(N u))``
-    factors and the rounding of the bound itself.  A zero denominator makes
-    every ratio exactly 0.
-
-    *Replay.*  The start's ratio is known as a bracket too: exact after a
-    refresh or a fallback, the kept candidate's bracket after a screened
-    move.  A move is kept when its bracket lies wholly above the threshold
-    ``current * (1 + 1e-14)`` taken over the start's bracket, and dropped
-    when wholly at or below it; rounding is monotone, so either outcome is
-    the exact loop's.  Where a bracket straddles its threshold, the rows of
-    that coordinate and of the rest of its block (and the vector itself, if
-    its ratio is a bracket) are evaluated exactly, batched over all starts,
-    and the block replays from exact values.  A batch row of ``fwht`` and
-    ``pnorm`` is bit for bit the row on its own.  Each further pass of a
-    start begins with one exact ``fwht``, which resets k, and ``best_ratio``
-    comes from one final exact evaluation of the finished starts.
-
-    *Blocks.*  The starts advance in lockstep.  Each round, every active
-    start screens a block of upcoming coordinates, all in one batch; at the
-    first kept move it drops the rest of its block (screened against the old
-    vector), and its next block starts at the following coordinate with one
-    coordinate.  A block without a kept move doubles the next, up to
-    ``4 * PROBE_SPECULATION_MAX_DIM // 2**m`` coordinates, one above
-    ``PROBE_SPECULATION_MAX_DIM``.  At hy p = 2 the ratio is 1 for every
-    vector (Parseval) and every move would tie within the bracket, so no
-    screen runs: each block goes straight to exact rows, and the transform
-    estimates are not kept.
+    ``recompute()`` re-rates the witness through ``hy_ratio`` or
+    ``synthesis_ratio`` and agrees to rounding.  ``trials`` (at least 1) and
+    ``seed`` are echoed into the result and select nothing.  m above
+    ``MAX_TRANSFORM_LEVELS`` is refused.
     """
-    if inequality == "hy":
-        p = hy_exponent(p)
-        make_form = hy_form
-    elif inequality == "synthesis":
-        p = synthesis_exponent(p)
-        make_form = synthesis_form
-    else:
-        raise ValueError(f"unknown inequality {inequality!r} (expected 'hy' or 'synthesis')")
     if trials < 1:
         raise ValueError("need at least one trial")
-
     m = res.m
-    dim = res.dim
-    if trials * dim > MAX_PROBE_ELEMS:
-        raise ValueError(
-            f"probe batch of {trials} trials x 2**{m} cells = {trials * dim} elements "
-            f"exceeds {MAX_PROBE_ELEMS}: at about {PROBE_BYTES_PER_ELEM} B per element "
-            f"it would need {PROBE_BYTES_PER_ELEM * trials * dim / 1e9:.1f} GB"
-        )
-    if m > MAX_PROBE_LEVELS:
-        raise ValueError(
-            f"constant probes limited to m <= {MAX_PROBE_LEVELS}, got {m}: the "
-            f"ascent screens each candidate with an O(2**m) update and norm, so "
-            f"its time about triples per level (about a minute at m = 12)"
-        )
-    form = make_form(p, dim)
-    rng = np.random.default_rng(seed)
-    # The starts, block by block (see *Starts* above); ``order`` lists the
-    # best rows so far and ``kept`` maps them to their vectors.
-    real = rng.standard_normal((trials, dim))
-    ratios = np.empty(trials)
-    kept = {}
-    step = max(1, FWHT_TILE_BYTES // (16 * dim))
-    for lo in range(0, trials, step):
-        block = real[lo : lo + step] + 1j * rng.standard_normal((min(step, trials - lo), dim))
-        ratios[lo : lo + step] = form.ratios(block)
-        for row in np.argsort(-ratios[lo : lo + step], kind="stable")[:_PROBE_STARTS].tolist():
-            kept[lo + row] = block[row].copy()
-        order = sorted(kept, key=lambda row: (-ratios[row], row))[:_PROBE_STARTS]
-        kept = {row: kept[row] for row in order}
-    del real, block
-
-    xs = np.stack([kept[row] for row in order])
-    best_ratio = float(ratios[order[0]])
-    best_witness = xs[0].copy()
-
-    cap = 4 * PROBE_SPECULATION_MAX_DIM // dim if dim <= PROBE_SPECULATION_MAX_DIM else 1
-    rev = _bit_reversal(m)
-    starts = [
-        _Start(x, transform, float(ratios[row]), form)
-        for x, transform, row in zip(xs, fwht(xs), order)
-    ]
-    # Both norms L^2: every ratio is 1 up to rounding (Parseval), so every
-    # screened move would tie within its bracket.
-    parseval = form.num_p == form.den_p == 2.0
-    active = list(starts)
-    while active:
-        blocks = [(st, np.arange(st.pos, st.pos + min(st.size, dim - st.pos))) for st in active]
-        if parseval:
-            undecided = [(st, idx, None, None) for st, idx in blocks]
-        else:
-            undecided = []
-            rows, signs, lo, hi = _screen(form, rev, blocks)
-            at = 0
-            for st, idx in blocks:
-                stop = at + idx.size
-                j = _replay(st, idx.tolist(), rows[at:stop], signs[at:stop], lo[at:stop], hi[at:stop], cap)
-                if j is not None:
-                    undecided.append((st, idx[j:], rows[at + j : stop], signs[at + j : stop]))
-                at = stop
-        if undecided:
-            # The rest of each block, and the vector whose ratio is a bracket.
-            exact_rows = []
-            for st, idx, _, _ in undecided:
-                if st.lo != st.hi:
-                    exact_rows.append(st.x[None])
-                exact_rows.append(_candidate_rows(st.x, idx))
-            exact = iter(form.ratios(np.concatenate(exact_rows)).tolist())
-            for st, idx, rows, signs in undecided:
-                if st.lo != st.hi:
-                    st.lo = st.hi = next(exact)
-                # ``exact`` runs in move order; brackets go by quarter turns.
-                moves = itertools.islice(exact, 3 * idx.size)
-                vals = [[by_move[k] for k in _ROW_OF_TURN] for by_move in zip(moves, moves, moves)]
-                _replay(st, idx.tolist(), rows, signs, vals, vals, cap)
-        for st in [st for st in active if st.pos == dim]:
-            st.passes += 1
-            st.pos = 0
-            if not st.improved or st.passes == _PROBE_PASSES:
-                active.remove(st)
-            else:
-                st.refresh(form)
-            st.improved = False
-
-    finals = form.ratios(np.stack([st.x for st in starts]))
-    for st, final in zip(starts, finals.tolist()):
-        if final > best_ratio:
-            best_ratio = final
-            best_witness = st.x
-
+    if m > MAX_TRANSFORM_LEVELS:
+        raise ValueError(f"constant probes limited to m <= {MAX_TRANSFORM_LEVELS}, got {m}")
+    if inequality == "hy":
+        p = hy_exponent(p)
+        best_ratio = 1.0
+        witness = np.ones(res.dim, dtype=np.complex128)
+    elif inequality == "synthesis":
+        p = synthesis_exponent(p)
+        best_ratio = 2.0 ** (m / p - m / 2)
+        witness = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(res.dim)) & 3]
+    else:
+        raise ValueError(f"unknown inequality {inequality!r} (expected 'hy' or 'synthesis')")
     return ConstantProbe(
         inequality=inequality,
         p=p,
         m=m,
         best_ratio=best_ratio,
-        witness=best_witness,
+        witness=witness,
         trials=trials,
         seed=seed,
+        kind=EXACT,
     )
 
 

@@ -168,9 +168,7 @@ _MAXRSS_KB = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru
 
 
 def test_probe_constants_process_stays_near_the_import_footprint(tmp_path):
-    # The probe holds the real parts of its starts (4 MB here) and a few
-    # tiles; rating the whole complex batch at once peaked about 23 MB above
-    # the import.
+    # The probe builds one 2**m witness, whatever the trial count.
     base = int(_last_line_of_fresh_python(f"import walsh_lab.cli\n{_MAXRSS_KB}"))
     argv = ["sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "8",
             "--trials", "2000", "--out", str(tmp_path / "probe.csv")]
@@ -260,28 +258,26 @@ def test_probe_constants_row(capsys):
     assert len(fields[6]) == 64  # sha256 hex
 
 
-def test_probe_constants_refuses_batches_that_cannot_fit_in_memory(capsys, tmp_path):
-    out_file = tmp_path / "probe.csv"
-    code, out, err = run_cli(
+def test_probe_constants_answers_at_the_transform_cap(capsys):
+    code, out, _ = run_cli(
         capsys,
-        "sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "16",
-        "--out", str(out_file),
+        "sweep", "probe-constants", "--inequality", "synthesis", "--p-in", "1.25", "--m", "20",
     )
-    assert code == 2 and out == ""
-    assert err.startswith("config error: probe batch of 10000 trials x 2**16 cells")
-    assert "5.9 GB" in err
-    assert not out_file.exists()
+    assert code == 0
+    fields = out.splitlines()[2].split(",")
+    assert fields[:5] == ["synthesis", "1.25", "20", "10000", "0"]
+    assert fields[5] == "64.0"  # N**(1/p - 1/2) = 2**(20 * 0.3)
 
 
 def test_probe_constants_refuses_levels_above_the_cap(capsys, tmp_path):
     out_file = tmp_path / "probe.csv"
     code, out, err = run_cli(
         capsys,
-        "sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "20",
+        "sweep", "probe-constants", "--inequality", "hy", "--p-in", "1.5", "--m", "21",
         "--trials", "1", "--out", str(out_file),
     )
     assert code == 2 and out == ""
-    assert err.startswith("config error: constant probes limited to m <= 12, got 20")
+    assert err.startswith("config error: m <= 20 for sweeps")
     assert not out_file.exists()
 
 

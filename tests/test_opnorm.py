@@ -1,8 +1,7 @@
 import importlib
-import itertools
 import math
 import warnings
-from functools import partial
+from functools import partial, reduce
 from unittest import mock
 
 import numpy as np
@@ -28,28 +27,9 @@ from walsh_lab import (
     resolvent_symbol,
     tail_norm,
 )
-from walsh_lab.dyadic import FWHT_TILE_BYTES, _bit_reversal, fwht
-from walsh_lab.metrics import (
-    hy_exponent,
-    hy_form,
-    hy_ratios,
-    synthesis_exponent,
-    synthesis_form,
-    synthesis_ratios,
-)
+from walsh_lab.dyadic import MAX_TRANSFORM_LEVELS
 from walsh_lab.multiplier import apply_diag
-from walsh_lab.opnorm import (
-    _MOVE_MULTIPLIERS,
-    _MOVES,
-    _ROW_OF_TURN,
-    MAX_PROBE_ELEMS,
-    MAX_PROBE_LEVELS,
-    _candidate_rows,
-    _power_lower,
-    _row_operators,
-    _screen,
-    _Start,
-)
+from walsh_lab.opnorm import _power_lower, _row_operators
 
 INF = math.inf
 
@@ -432,23 +412,56 @@ def test_duality_symmetry_random_symbols():
 
 def test_probe_hy_is_one_at_p2():
     probe = constant_probe("hy", 2.0, Resolution(5), trials=200, seed=0)
-    assert probe.best_ratio == pytest.approx(1.0, abs=1e-12)
+    assert probe.best_ratio == probe.recompute() == 1.0
 
 
 def test_probe_hy_below_one():
     probe = constant_probe("hy", 1.5, Resolution(6), trials=2000, seed=1)
-    assert probe.best_ratio <= 1.0 + 1e-9
-    assert probe.recompute() == pytest.approx(probe.best_ratio, abs=1e-12)
+    assert probe.best_ratio == 1.0 and probe.kind == "exact"
+    assert probe.recompute() == 1.0
 
 
 def test_probe_synthesis_growth_across_resolutions():
+    # N**(1/p - 1/2) = 2**(3m/10) at p = 1.25: exact powers of two at m = 0 mod 10.
     best = []
-    for m in (4, 6, 8):
+    for m in (4, 6, 8, 10):
         probe = constant_probe("synthesis", 1.25, Resolution(m), trials=1500, seed=2)
-        assert probe.recompute() == pytest.approx(probe.best_ratio, abs=1e-12)
+        assert probe.recompute() == pytest.approx(probe.best_ratio, rel=1e-14)
         best.append(probe.best_ratio)
-    # reported growth curve; nondecreasing here, but no ceiling is asserted
-    assert best[0] <= best[1] <= best[2]
+    assert best == pytest.approx([2.0**1.2, 2.0**1.8, 2.0**2.4, 8.0], rel=1e-15)
+    assert best[-1] == 8.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    m=st.integers(0, 16),
+    trials=st.integers(1, 10**6),
+    seed=st.integers(0, 2**63 - 1),
+)
+@example(p=1.25, m=16, trials=1, seed=0)
+@example(p=1.5, m=0, trials=1, seed=0)
+@example(p=1.0 + 2**-52, m=12, trials=3, seed=1)
+@example(p=2.0 - 2**-52, m=12, trials=3, seed=1)
+def test_probe_constants_are_exact(p, m, trials, seed):
+    # Analysis: 1, attained by W_0.  Synthesis: 2**(m/p - m/2), attained by
+    # c_n = i**|n|; the Kronecker power (1, i)**(x m) has the same values.
+    res = Resolution(m)
+    syn = constant_probe("synthesis", p, res, trials=trials, seed=seed)
+    assert syn.best_ratio == 2.0 ** (m / p - m / 2)
+    assert syn.recompute() == pytest.approx(syn.best_ratio, rel=1e-14, abs=0.0)
+    table = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(res.dim)) & 3]
+    assert syn.witness.tobytes() == table.tobytes()
+    if m <= 10:
+        kron = reduce(np.kron, [np.array([1, 1j])] * m, np.ones(1, dtype=np.complex128))
+        assert np.array_equal(syn.witness, kron)
+
+    for q in (p, 2.0):
+        hy = constant_probe("hy", q, res, trials=trials, seed=seed)
+        assert hy.best_ratio == hy.recompute() == 1.0
+        assert hy.witness.tobytes() == np.ones(res.dim, dtype=np.complex128).tobytes()
+    for probe in (syn, hy):
+        assert (probe.m, probe.trials, probe.seed, probe.kind) == (m, trials, seed, "exact")
 
 
 def test_probe_determinism():
@@ -465,180 +478,38 @@ def test_probe_validation():
         constant_probe("synthesis", 2.0, Resolution(4))
     with pytest.raises(ValueError):
         constant_probe("other", 1.5, Resolution(4))
+    with pytest.raises(ValueError, match="at least one trial"):
+        constant_probe("hy", 1.5, Resolution(4), trials=0)
 
 
-def test_probe_refuses_batches_that_cannot_fit_in_memory(monkeypatch):
-    module = importlib.import_module("walsh_lab.opnorm")
-    assert MAX_PROBE_ELEMS == 2**26
-
-    def no_draws(seed):
-        raise AssertionError("the refusal must come before drawing")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(module.np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match="5.9 GB"):
-            constant_probe("hy", 1.5, Resolution(16), trials=10000)
-        with pytest.raises(ValueError, match="0.6 GB"):
-            constant_probe("synthesis", 1.25, Resolution(10), trials=MAX_PROBE_ELEMS // 1024 + 1)
-
-    # The bound itself is admitted.
-    monkeypatch.setattr(module, "MAX_PROBE_ELEMS", 10 * 64)
-    assert constant_probe("hy", 1.5, Resolution(6), trials=10, seed=0).trials == 10
-    with pytest.raises(ValueError, match="exceeds 640"):
-        constant_probe("hy", 1.5, Resolution(6), trials=11, seed=0)
+def test_probe_refuses_levels_above_the_cap():
+    # The transform cap, like every other transform-sized query.
+    assert MAX_TRANSFORM_LEVELS == 20
+    assert constant_probe("hy", 1.5, Resolution(20), trials=1).m == 20
+    for inequality, p in (("hy", 1.5), ("synthesis", 1.25)):
+        with pytest.raises(ValueError, match="m <= 20, got 21"):
+            constant_probe(inequality, p, Resolution(21), trials=1)
 
 
-def _constant_probe_reference(inequality, p, res, trials=10000, seed=0):
-    """The one-candidate-at-a-time ascent ``constant_probe`` replaced, verbatim
-    (one ``ratios_of`` call per candidate move); returns (best_ratio, witness)."""
-    if inequality == "hy":
-        p = hy_exponent(p)
-        ratios_of = hy_ratios
-    else:
-        p = synthesis_exponent(p)
-        ratios_of = synthesis_ratios
-
-    dim = res.dim
-    rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    ratios = ratios_of(batch, p)
-
-    order = np.argsort(-ratios, kind="stable")[:4]
-    best_ratio = float(ratios[order[0]])
-    best_witness = batch[order[0]].copy()
-
-    for row in order:
-        x = batch[row].copy()
-        current = float(ratios_of(x, p))
-        for _ in range(16):
-            improved = False
-            for i in range(dim):
-                keep = x[i]
-                for mul in (-1.0, 1j, -1j):
-                    x[i] = keep * mul
-                    trial = float(ratios_of(x, p))
-                    if trial > current * (1.0 + 1e-14):
-                        current = trial
-                        keep = x[i]
-                        improved = True
-                x[i] = keep
-            if not improved:
-                break
-        if current > best_ratio:
-            best_ratio = current
-            best_witness = x.copy()
-    return best_ratio, best_witness
+def _no_draws(seed):
+    raise AssertionError("the closed-form probe drew random numbers")
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    case=st.one_of(
-        st.tuples(st.just("hy"), st.sampled_from([1.1, 1.25, 1.5, 1.9, 2.0])),
-        st.tuples(st.just("synthesis"), st.sampled_from([1.1, 1.25, 1.5, 1.75])),
-    ),
-    m=st.integers(0, 7),
-    trials=st.integers(1, 60),
-    seed=st.integers(0, 2**32 - 1),
-)
-# Cases where taking the best of the three candidates, instead of the
-# ``-1, +i, -i`` sweep, keeps a different phase: the ratio, or only the
-# witness (hy), comes out different.
-@example(case=("synthesis", 1.25), m=4, trials=1, seed=2)
-@example(case=("hy", 1.5), m=2, trials=1, seed=2)
-# Starts drawn and rated in several tile-sized row blocks, the last one short
-# (128, 128, 44 rows; 512, 512, 76 rows), and in one row.
-@example(case=("hy", 1.5), m=8, trials=300, seed=4)
-@example(case=("synthesis", 1.25), m=6, trials=1100, seed=2)
-@example(case=("synthesis", 1.25), m=8, trials=1, seed=5)
-def test_probe_ascent_matches_one_candidate_at_a_time(case, m, trials, seed):
-    # The speculative blocks replay the same first-improvement sweep, so the
-    # ratio and the witness bytes are those of the reference loop.
-    inequality, p = case
-    res = Resolution(m)
-    probe = constant_probe(inequality, p, res, trials=trials, seed=seed)
-    ratio, witness = _constant_probe_reference(inequality, p, res, trials=trials, seed=seed)
-    assert probe.best_ratio == ratio
-    assert probe.witness.tobytes() == witness.tobytes()
-
-
-def test_streamed_starts_break_ties_across_blocks_in_row_order():
-    # Under Parseval hundreds of ratios tie at the top, in all three blocks
-    # of 512 rows; the 4 starts are the lowest tied rows, as in one stable
-    # sort of the whole batch.
-    res, trials, seed = Resolution(6), 1500, 5
-    rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((trials, res.dim)) + 1j * rng.standard_normal((trials, res.dim))
-    ratios = hy_ratios(batch, 2.0)
-    tied = np.flatnonzero(ratios == ratios.max())
-    assert tied.size > 4 and set(tied // 512) == {0, 1, 2}
-
-    probe = constant_probe("hy", 2.0, res, trials=trials, seed=seed)
-    ratio, witness = _constant_probe_reference("hy", 2.0, res, trials=trials, seed=seed)
-    assert probe.best_ratio == ratio
-    assert probe.witness.tobytes() == witness.tobytes()
-
-
-@pytest.mark.parametrize("block_rows, tiles", [(None, 8), (8, 2)])
-def test_probe_start_phase_holds_the_real_parts_and_a_few_tiles(traced_peak, monkeypatch, block_rows, tiles):
-    # The real parts of all starts (8 B per element) stay whole; the rest is
-    # a few tiles: 5.3 measured with one-tile blocks, 0.5 with 8-row blocks,
-    # where keeping the best 4 rows of every block would hold half the batch.
-    # Rating the whole complex batch at once peaked at 104 MB, 41 B per element.
-    trials, res = 10000, Resolution(8)
-    if block_rows is not None:
-        module = importlib.import_module("walsh_lab.opnorm")
-        monkeypatch.setattr(module, "FWHT_TILE_BYTES", 16 * res.dim * block_rows)
-    peak = traced_peak(lambda: constant_probe("hy", 1.5, res, trials=trials))
-    assert peak <= 8 * trials * res.dim + tiles * FWHT_TILE_BYTES
-
-
-def _counting_transforms(monkeypatch):
-    """Record the shape of every ``fwht`` call the probe makes."""
-    calls = []
-
-    def counting_fwht(values):
-        calls.append(np.shape(values))
-        return fwht(values)
-
-    for name in ("walsh_lab.metrics", "walsh_lab.opnorm"):
-        monkeypatch.setattr(importlib.import_module(name), "fwht", counting_fwht)
-    return calls
-
-
-def test_probe_ascent_batches_its_transforms(monkeypatch):
-    # The screen decides every move here, so the exact transforms are the
-    # random starts (in blocks of one tile, 512 rows at m = 6), the four
-    # starts' own, one refresh per further pass (17 here) and the final
-    # ratios.  One transform per candidate move would make 4036.
-    calls = _counting_transforms(monkeypatch)
-    constant_probe("hy", 1.5, Resolution(6), trials=2000, seed=1)
-    assert calls == [(512, 64)] * 3 + [(464, 64), (4, 64)] + [(64,)] * 17 + [(4, 64)]
-
-
-def test_probe_fallbacks_stay_batched_at_p2(monkeypatch):
-    # At p = 2 every move ties within the screen's bracket (Parseval), so
-    # each block falls back whole: one exact batch per round for all starts,
-    # the blocks doubling from one coordinate to the rest of the pass.
-    calls = _counting_transforms(monkeypatch)
-    probe = constant_probe("hy", 2.0, Resolution(6), trials=2000, seed=1)
-    rows = [12, 24, 48, 96, 192, 384, 12]  # 4 starts x 3 moves x 1, 2, ..., 32, 1
-    starts = [(512, 64)] * 3 + [(464, 64)]
-    assert calls == starts + [(4, 64)] + [(r, 64) for r in rows] + [(4, 64)]
-    assert probe.best_ratio == pytest.approx(1.0, abs=1e-12)
+def _no_transform(values):
+    raise AssertionError("the closed-form probe ran a transform")
 
 
 @pytest.mark.parametrize("m, trials, seed", [(0, 3, 0), (3, 40, 5), (6, 200, 1)])
 def test_probe_at_p2_runs_no_screen(monkeypatch, m, trials, seed):
-    # Under Parseval every screened move would tie, so the blocks go
-    # straight to exact rows; the bytes are the reference loop's.
-    def no_screen(*args):
-        raise AssertionError("screened a Parseval probe")
-
-    monkeypatch.setattr(importlib.import_module("walsh_lab.opnorm"), "_screen", no_screen)
-    probe = constant_probe("hy", 2.0, Resolution(m), trials=trials, seed=seed)
-    ratio, witness = _constant_probe_reference("hy", 2.0, Resolution(m), trials=trials, seed=seed)
-    assert probe.best_ratio == ratio
-    assert probe.witness.tobytes() == witness.tobytes()
+    # Under Parseval the constant is 1 and W_0 attains it: the probe runs no
+    # screen, no draw and no transform; only recompute() rates the witness.
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", _no_draws)
+        for name in ("walsh_lab.metrics", "walsh_lab.opnorm"):
+            patched.setattr(importlib.import_module(name), "fwht", _no_transform)
+        probe = constant_probe("hy", 2.0, Resolution(m), trials=trials, seed=seed)
+    assert probe.best_ratio == probe.recompute() == 1.0
+    assert probe.witness.tobytes() == np.ones(1 << m, dtype=np.complex128).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -652,66 +523,18 @@ def test_probe_at_p2_runs_no_screen(monkeypatch, m, trials, seed):
     ],
 )
 def test_probe_fallback_alone_gives_the_same_bytes(monkeypatch, case):
-    # With an infinite margin every bracket straddles its threshold and every
-    # decision comes from exact rows.
+    # The closed form alone decides the bytes: with no random generator, one
+    # trial and seed 0, the ratio and the witness are those of the echoed
+    # trial count and seed, and the ratio is the constant itself.
     inequality, p, m, trials, seed = case
     default = constant_probe(inequality, p, Resolution(m), trials=trials, seed=seed)
-    monkeypatch.setattr(importlib.import_module("walsh_lab.opnorm"), "_SCREEN_SAFETY", math.inf)
-    calls = _counting_transforms(monkeypatch)
-    forced = constant_probe(inequality, p, Resolution(m), trials=trials, seed=seed)
-    assert any(shape[0] > 4 for shape in calls[2:])  # exact candidate rows ran
-    assert forced.best_ratio == default.best_ratio
-    assert forced.witness.tobytes() == default.witness.tobytes()
-
-
-def _probe_vector(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if kind == "zeros":
-        x[rng.random(dim) < rng.random()] = 0.0
-    elif kind == "subnormal":
-        x *= 1e-310
-        x[rng.random(dim) < 0.2] *= 1e300
-    elif kind == "range":
-        x *= 10.0 ** rng.uniform(-150.0, 150.0, dim)
-    return x
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    case=st.one_of(
-        st.tuples(st.just("hy"), st.sampled_from([1.1, 1.25, 1.5, 1.9])),
-        st.tuples(st.just("synthesis"), st.sampled_from([1.1, 1.25, 1.5, 1.75])),
-    ),
-    m=st.integers(0, 10),
-    kind=st.sampled_from(["normal", "zeros", "subnormal", "range"]),
-    moves=st.integers(0, 40),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(case=("hy", 1.5), m=0, kind="normal", moves=3, seed=0)
-@example(case=("synthesis", 1.1), m=10, kind="range", moves=40, seed=1)
-@example(case=("hy", 1.1), m=6, kind="subnormal", moves=5, seed=2)
-def test_probe_screen_brackets_hold_the_exact_ratios(case, m, kind, moves, seed):
-    # After some moves made through the screen's own transform updates, the
-    # exact ratio of every candidate lies in its bracket, with no tolerance.
-    inequality, p = case
-    dim = 1 << m
-    form = (hy_form if inequality == "hy" else synthesis_form)(p, dim)
-    rng = np.random.default_rng(seed)
-    x = _probe_vector(kind, dim, rng)
-    start = _Start(x, fwht(x), float(form.ratios(x)), form)
-    rev = _bit_reversal(m)
-    for _ in range(moves):
-        i, k = int(rng.integers(dim)), int(rng.integers(3))
-        rows, signs, _, _ = _screen(form, rev, [(start, np.array([i]))])
-        start.move(i, start.x[i] * _MOVES[k][0], rows[0, k] * signs[0])
-
-    idx = np.sort(rng.choice(dim, size=min(dim, 48), replace=False))
-    _, _, lo, hi = _screen(form, rev, [(start, idx)])
-    exact = form.ratios(_candidate_rows(start.x, idx)).reshape(-1, 3)[:, list(_ROW_OF_TURN)]
-    lo, hi = np.array(lo), np.array(hi)
-    assert np.all(lo <= exact) and np.all(exact <= hi)
-    if kind == "normal":  # the bracket is narrow enough to decide real moves
-        assert np.all(hi - lo <= 1e-9 * exact)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    alone = constant_probe(inequality, p, Resolution(m), trials=1, seed=0)
+    assert repr(alone.best_ratio) == repr(default.best_ratio)
+    assert alone.witness.tobytes() == default.witness.tobytes()
+    exact = 1.0 if inequality == "hy" else 2.0 ** (m / p - m / 2)
+    assert repr(default.best_ratio) == repr(exact)
+    assert (default.trials, default.seed) == (trials, seed)
 
 
 @given(
@@ -722,35 +545,10 @@ def test_probe_screen_brackets_hold_the_exact_ratios(case, m, kind, moves, seed)
     )
 )
 def test_quarter_turns_keep_moduli_bit_for_bit(values):
-    # The screen's denominator is the start's own: each move's vector, and
-    # each chain of kept moves, has the same moduli as the start.
+    # The synthesis witness turns each coefficient of W_0 by i**|n|: its
+    # moduli are 1 bit for bit, so its l^{p'} norm is N**(1/p') exactly, and
+    # turning any coefficients by it keeps their moduli bit for bit.
+    witness = constant_probe("synthesis", 1.5, Resolution(5)).witness
+    assert np.abs(witness).tobytes() == np.ones(32).tobytes()
     x = np.array(values, dtype=np.complex128)
-    mags = np.abs(x).tobytes()
-    for chosen in itertools.product((False, True), repeat=len(_MOVES)):
-        turned = x.copy()
-        for keep, (mul, _) in zip(chosen, _MOVES):
-            if keep:
-                turned = turned * mul
-        assert np.abs(turned).tobytes() == mags
-    for k in range(3):
-        assert np.abs(x[:, None] * _MOVE_MULTIPLIERS)[:, k].tobytes() == mags
-
-
-def test_probe_refuses_levels_above_the_cap(monkeypatch):
-    module = importlib.import_module("walsh_lab.opnorm")
-    assert MAX_PROBE_LEVELS == 12
-
-    def no_draws(seed):
-        raise AssertionError("the refusal must come before drawing")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(module.np.random, "default_rng", no_draws)
-        for m in (13, 20):
-            with pytest.raises(ValueError, match=f"m <= 12, got {m}"):
-                constant_probe("hy", 1.5, Resolution(m), trials=1)
-
-    # The cap itself is admitted.
-    monkeypatch.setattr(module, "MAX_PROBE_LEVELS", 4)
-    assert constant_probe("synthesis", 1.25, Resolution(4), trials=3, seed=0).m == 4
-    with pytest.raises(ValueError, match="m <= 4, got 5"):
-        constant_probe("synthesis", 1.25, Resolution(5), trials=3, seed=0)
+    assert np.abs(x * witness[: x.size]).tobytes() == np.abs(x).tobytes()
