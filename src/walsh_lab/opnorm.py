@@ -17,11 +17,13 @@ Rayleigh-type ratio never decreases, reported together with convergence
 metadata.  It is a lower bound up to a few ulps of rounding, not a certified
 one: run on geometric r = 0.7 at m = 7, (1.25, inf) (since given the exact
 path above), the loop returned a value 1.5e-15 relative above the exact
-norm.  For dim <= ``GEMM_MAX_DIM`` each power step is one matrix product
-against the cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above
-it, the fast-transform pair.  That matrix commutes with every translation
-``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
-translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
+norm.  For dim <= ``GEMM_MAX_DIM`` each power step multiplies by the
+cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above it, by the
+Kronecker-factored Walsh transform ``H_A (x) H_B`` with the diagonal between
+(``_row_operators``), which holds nothing of size N x N.  That matrix
+commutes with every translation ``i -> i ^ h``, so the cell start ``e_h``
+repeats the run from ``e_0`` translated, and the start block holds ``e_0``
+alone: 21 starts at m >= 2.
 
 Certified upper bounds (``certified_upper``, rounded up):
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, fwht, walsh_step
+from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, fwht, walsh_matrix, walsh_step
 from .metrics import dual_exponent, hy_exponent, pnorm, synthesis_exponent
 from .multiplier import apply_diag, kernel_matrix
 from .symbols import ExplicitSymbol, Symbol, tail
@@ -74,27 +76,25 @@ _MONOTONE_SLACK = 1e-9
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 # Power steps multiply by the dense kernel matrix up to this dimension and
-# use the transform pair above it.  Per (21, dim) complex batch on a 2-vCPU
-# x86-64 VM with OpenBLAS 0.3.31 (medians of 400 calls, three runs), the
-# product takes 0.011 ms against 0.085 ms for the pair at 64, and 0.108 ms
-# wall (0.22 ms CPU, two BLAS threads) against 0.25-0.28 ms at 256; at 512
-# it still wins in wall time (0.39 against 0.51-0.55 ms) but costs more CPU
-# (0.78 against 0.52-0.55 ms).  Moving the cutoff would also change the
-# rounding, and so the printed bytes, of power-loop values at the dims
-# between the old and the new cutoff.  After each product OpenBLAS's worker
-# threads spin for a while, and that CPU is billed to whatever runs next.
-# Measured when ``constant_probe`` still ran a random-start ascent of numpy
-# calls (hy 1.5, m = 6, 2000 trials): right after an m = 8 ``opnorm`` it took
-# 61 ms wall and 120 ms CPU on the VM above, against 55 ms of each with
-# OPENBLAS_NUM_THREADS=1 (and CPU no more than wall after a second idle).
-# numpy offers no per-call thread control, and this package
-# sets no environment variable: a caller who counts CPU time can set
+# by the Kronecker-factored transform above it.  Whole power loops (12
+# unimodular random symbols in four regimes, geometric 0.9 and reciprocal at
+# (1.5, 3); medians of 9 runs each, three processes) summed at m = 7 to
+# 39-41 ms with the cutoff at 64 against 47-51 ms at 128, and at m = 6 to
+# 31-34 ms with the dense product against 32-36 ms factored.  A dense
+# product of 21 rows runs on two OpenBLAS threads (0.015-0.018 ms wall and
+# twice that CPU at 64, 0.051 ms wall at 128), the factored one at m <= 8 on
+# one (0.018-0.025 ms at 64, 0.029-0.040 ms at 128).  Measured on a 2-vCPU
+# x86-64 VM with OpenBLAS 0.3.31.  After each threaded product OpenBLAS's
+# worker threads spin for a while, and that CPU is billed to whatever runs
+# next; numpy offers no per-call thread control, and this package sets no
+# environment variable: a caller who counts CPU time can set
 # OPENBLAS_NUM_THREADS=1 before numpy is first imported.
-GEMM_MAX_DIM = 256
-# The power loop holds about 170 bytes per start and cell at its peak
-# (14 MB for 21 starts at m = 12, 3.7 GB at m = 20), and one step at m = 12
-# takes about 18 ms on the VM above, so 500 steps about 9 s; each further
-# level doubles both.
+GEMM_MAX_DIM = 64
+# The power loop holds about 150 bytes per start and cell at its peak
+# (13 MB traced for 21 starts at m = 12, 3.2 GB at m = 20), and one step of
+# 21 starts at m = 12 takes 6.4-6.9 ms on the VM above (17.5 ms with the
+# transform pair), so 500 steps about 3.4 s; each further level doubles
+# both.
 MAX_POWER_LEVELS = 12
 
 
@@ -178,20 +178,20 @@ def _phase(v: np.ndarray, mags: np.ndarray) -> np.ndarray:
     duality map's powers shrink a start's minor coordinates and the kernel
     product carries them through exactly; their phases weigh nothing.
     """
+    if np.min(mags, initial=np.inf) >= _TINY:
+        return v / mags
     out = np.zeros_like(v)
     np.divide(v, mags, out=out, where=mags >= _TINY)
     return out
 
 
-def _dual_map_rows(v: np.ndarray, q: float, mags: np.ndarray | None = None) -> np.ndarray:
+def _dual_map_rows(v: np.ndarray, q: float) -> np.ndarray:
     """Row-wise Hoelder duality map: phase(v) |v|**(q-1), scale-free.
 
     q = 1 keeps only the phases; q = inf keeps those of the max-modulus
-    coordinates.  Rows of zeros map to zeros.  ``mags`` is ``np.abs(v)`` when
-    the caller already has it.
+    coordinates.  Rows of zeros map to zeros.
     """
-    if mags is None:
-        mags = np.abs(v)
+    mags = np.abs(v)
     if q == 1.0:
         return _phase(v, mags)
     top = mags.max(axis=-1, keepdims=True)
@@ -235,26 +235,48 @@ def _row_operators(diag: np.ndarray):
     """The multiplier and its adjoint as maps on row batches of cell values.
 
     Up to ``GEMM_MAX_DIM`` both are one product with the symmetric kernel
-    matrix ``M`` (``x @ M`` and ``x @ conj(M)``); above it, the transform
-    pair of ``apply_diag``.
+    matrix ``M`` (``x @ M`` and ``x @ conj(M)``).  Above it they go through
+    the Kronecker-factored Walsh transform.  Split N = A B with
+    ``A = 2**floor(m/2)``, ``B = 2**ceil(m/2)``, cells as ``i = i_hi B + i_lo``
+    and Walsh indices as ``n = n_hi A + n_lo``.  Paley order reverses the
+    bits of the cell, so ``W_n(i) = W^A_{n_lo}(i_hi) W^B_{n_hi}(i_lo)``
+    exactly: the Paley matrix is ``K = H_A (x) H_B`` with its rows reordered,
+    and ``M = K diag(d') K / N`` with ``d'[n_lo, n_hi] = diag[n_hi A + n_lo]``.
 
-    ``M`` and ``conj(M)`` share one block (2 MiB at dim 256).  glibc maps a
-    block above its adaptive mmap threshold afresh, and freeing one raises
-    the threshold to its size, so after the first call this block comes
-    from reused heap pages.  As two 1 MiB blocks, each call at m = 8
-    faulted in about 600 fresh pages (``ru_minflt``; 1-1.4 ms of a 2.6 ms
-    reciprocal (1.5, 3) norm on a 2-vCPU VM) unless an earlier free of a
-    larger block had raised the threshold.
+    The batch is copied once into an (A, B, rows) layout, so that both
+    contractions act on leading axes: ``H_A`` as one GEMM, ``H_B`` as one
+    per value of the first index.  The +-1 factors are real, so every GEMM
+    runs on the float64 view of the complex data, with half the flops of a
+    complex one and, at m <= 8, below OpenBLAS's threading threshold.  The
+    result is scaled by ``d' / N`` in that layout, transformed back the same
+    way and copied out: four GEMM stages, two copies and one multiply per
+    product.  The adjoint uses ``conj(d')``.  Nothing of size N x N is held;
+    at m = 12 the factors take 32 KiB each.
     """
-    if diag.shape[-1] <= GEMM_MAX_DIM:
+    dim = diag.shape[-1]
+    if dim <= GEMM_MAX_DIM:
         mat = kernel_matrix(diag)
-        pair = np.empty((2, *mat.shape), dtype=mat.dtype)
-        pair[0] = mat
-        np.conjugate(mat, out=pair[1])
-        mat, adj = pair
+        adj = np.conj(mat)
         return (lambda v: v @ mat), (lambda v: v @ adj)
-    conj_diag = np.conj(diag)
-    return (lambda v: apply_diag(diag, v)), (lambda v: apply_diag(conj_diag, v))
+    m = dim.bit_length() - 1
+    a, b = 1 << (m // 2), 1 << (m - m // 2)
+    h_a, h_b = (walsh_matrix(k).astype(np.float64) for k in (m // 2, m - m // 2))
+    scale = (diag / dim).reshape(b, a).T[:, :, None]
+
+    def product(d: np.ndarray):
+        def apply(v: np.ndarray) -> np.ndarray:
+            rows = v.shape[0]
+            t = v.reshape(rows, a, b).transpose(1, 2, 0).copy().view(np.float64)
+            t = np.matmul(h_b, (h_a @ t.reshape(a, -1)).reshape(a, b, 2 * rows))
+            scaled = t.view(np.complex128)
+            scaled *= d
+            t = h_a @ np.matmul(h_b, t).reshape(a, -1)
+            out = t.view(np.complex128).reshape(a, b, rows).transpose(2, 0, 1)
+            return np.ascontiguousarray(out).reshape(rows, dim)
+
+        return apply
+
+    return product(scale), product(np.conj(scale))
 
 
 def _power_lower(
@@ -284,11 +306,17 @@ def _power_lower(
     from step 1 on, so this never ends a run at step 0.  The best start alone
     decides: dropping the other starts from the batch early would change the
     rounding of the matrix products of those that remain.
+
+    The active starts are carried as one compact batch ``x``, start ``idx[i]``
+    in row i.  Each step takes ``r = |y| / max|y|`` of ``y = T x`` once: it
+    serves both the ``L^{p_out}`` norm (``r ** p_out``, as ``pnorm`` sums it)
+    and the duality map (``r ** (p_out - 1)``), so the values are those of
+    ``pnorm`` and ``_dual_map_rows`` bit for bit.
     """
     if m > MAX_POWER_LEVELS:
         raise ValueError(
             f"power iteration limited to m <= {MAX_POWER_LEVELS}, got {m}: its "
-            f"(starts x 2**m) complex arrays would need about 3.7 GB at m = 20"
+            f"(starts x 2**m) complex arrays would need about 3.2 GB at m = 20"
         )
     w = 2.0**-m
     q_dual = dual_exponent(p_in)
@@ -297,7 +325,9 @@ def _power_lower(
 
     x = _start_matrix(diag, m, random_starts, seed, extra_starts)
     norms = pnorm(x, p_in, w)
-    keep = norms > 0
+    # Complex division by a real multiplies by its reciprocal, which
+    # overflows for a subnormal norm: such a start is dropped like a zero one.
+    keep = norms >= _TINY
     x = x[keep] / norms[keep][:, None]
     n_starts = x.shape[0]
 
@@ -306,16 +336,20 @@ def _power_lower(
     iterations = np.zeros(n_starts, dtype=int)
     witness = x.copy()
     active = np.ones(n_starts, dtype=bool)
+    idx = np.arange(n_starts)
     histories: list[list[float]] | None = [[] for _ in range(n_starts)] if want_history else None
 
     for step in range(max_iter):
-        if not active.any():
+        if idx.size == 0:
             break
-        idx = np.flatnonzero(active)
-        xa = x[idx]
-        y = forward(xa)
-        mags_y = np.abs(y)
-        g = pnorm(mags_y, p_out, w)
+        y = forward(x)
+        mags = np.abs(y, order="C")
+        top = mags.max(axis=-1, keepdims=True, initial=0.0)
+        r = mags / np.where(top > 0, top, 1.0)
+        if p_out == INF:
+            g = top[:, 0]
+        else:
+            g = (top * ((r**p_out).sum(axis=-1, keepdims=True) * w) ** (1.0 / p_out))[:, 0]
         prev = gamma[idx]
 
         if step > 0:
@@ -329,7 +363,7 @@ def _power_lower(
                 if g[local] > 0:
                     histories[row].append(float(g[local]))
 
-        witness[idx] = xa
+        witness[idx] = x
         gamma[idx] = np.maximum(g, prev)
         iterations[idx] += 1
 
@@ -341,18 +375,21 @@ def _power_lower(
         best = int(np.argmax(gamma))
         if not active[best] and gamma[best] >= closes_at:
             break
-        still = idx[~done]
-        if still.size == 0:
-            continue
+        still = ~done
+        if not still.any():
+            break
+        if not still.all():
+            idx, y, mags, r = idx[still], y[still], mags[still], r[still]
 
-        u = _dual_map_rows(y[~done], p_out, mags_y[~done])
-        z = adjoint(u)
-        xn = _dual_map_rows(z, q_dual)
+        u = _phase(y, mags)
+        if p_out != 1.0:
+            u *= r ** (p_out - 1.0)
+        xn = _dual_map_rows(adjoint(u), q_dual)
         nn = pnorm(xn, p_in, w)
         alive = nn > 0
-        active[still[~alive]] = False
-        sel = still[alive]
-        x[sel] = xn[alive] / nn[alive][:, None]
+        active[idx[~alive]] = False
+        idx = idx[alive]
+        x = xn[alive] / nn[alive][:, None]
 
     best = int(np.argmax(gamma))
     return _PowerResult(

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import warnings
 from functools import partial, reduce
 from unittest import mock
@@ -29,7 +30,17 @@ from walsh_lab import (
 )
 from walsh_lab.dyadic import MAX_TRANSFORM_LEVELS
 from walsh_lab.multiplier import apply_diag
-from walsh_lab.opnorm import _power_lower, _row_operators
+from walsh_lab.metrics import pnorm
+from walsh_lab.opnorm import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RANDOM_STARTS,
+    DEFAULT_TOL,
+    _power_lower,
+    _row_operators,
+    certified_upper,
+)
+
+opnorm_module = importlib.import_module("walsh_lab.opnorm")
 
 INF = math.inf
 
@@ -99,15 +110,44 @@ def test_lower_bounds_sandwiched_by_certified_upper():
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(0, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_kernel_product_matches_transform_pair(m, rows, seed):
+@given(
+    m=st.integers(0, 12),
+    rows=st.integers(1, 25),
+    zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=8, rows=21, zero_frac=0.0, seed=0)
+@example(m=12, rows=25, zero_frac=0.5, seed=1)
+@example(m=9, rows=1, zero_frac=1.0, seed=2)
+def test_kernel_product_matches_transform_pair(m, rows, zero_frac, seed):
+    # Dense kernel product up to GEMM_MAX_DIM, Kronecker-factored transform
+    # above it; exact zeros in the diagonal must stay exact.
     rng = np.random.default_rng(seed)
     dim = 1 << m
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    diag[rng.random(dim) < zero_frac] = 0.0
     x = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     forward, adjoint = _row_operators(diag)
     for got, ref in ((forward(x), apply_diag(diag, x)), (adjoint(x), apply_diag(np.conj(diag), x))):
+        assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_row_operators_hold_no_dense_matrix():
+    # At m = 12 one dense dim x dim complex matrix would take 268 MB; the
+    # factored product holds a few batches the size of its input.
+    dim = 1 << 12
+    rng = np.random.default_rng(0)
+    diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = rng.standard_normal((21, dim)) + 1j * rng.standard_normal((21, dim))
+    tracemalloc.start()
+    try:
+        forward, adjoint = _row_operators(diag)
+        adjoint(forward(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.nbytes < 16 * dim * dim / 24
 
 
 exponent_at_least_2 = st.one_of(st.floats(2.0, 50.0), st.just(INF))
@@ -137,7 +177,7 @@ def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
 def test_p2_power_loop_reaches_sup_and_never_exceeds_it(m, seed):
     # opnorm returns sup|a_n| at (2, 2) without iterating.  The Walsh start
     # with the largest |a_n| is an eigenvector, so the loop reaches sup at its
-    # first step, on the kernel-product path (m <= 8) and the transform path.
+    # first step, on the kernel-product path (m <= 6) and the factored path.
     rng = np.random.default_rng(seed)
     dim = 1 << m
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -270,6 +310,118 @@ def test_power_iteration_ratios_never_decrease():
         run = _power_lower(diag, 6, 1.5, 1.5, seed=k, want_history=True)
         for hist in run.histories:
             assert all(b >= a - 1e-12 * (1 + abs(b)) for a, b in zip(hist, hist[1:]))
+
+
+def _reference_power_lower(diag, m, p_in, p_out, *, seed, extra_starts, max_iter=DEFAULT_MAX_ITER):
+    """The power loop written step by step: ``pnorm`` of the product, a
+    separate duality map with its own row maxima and masked phases, and
+    every start's row gathered from the full batch each step."""
+
+    def phase(v, mags):
+        out = np.zeros_like(v)
+        np.divide(v, mags, out=out, where=mags >= np.finfo(np.float64).tiny)
+        return out
+
+    def dual_map(v, q, mags):
+        if q == 1.0:
+            return phase(v, mags)
+        top = mags.max(axis=-1, keepdims=True)
+        return phase(v, mags) * (mags / np.where(top > 0, top, 1.0)) ** (q - 1.0)
+
+    w = 2.0**-m
+    tol = DEFAULT_TOL
+    forward, adjoint = opnorm_module._row_operators(diag)
+    closes_at = certified_upper(diag, m, p_in, p_out) * (1.0 - tol)
+    x = opnorm_module._start_matrix(diag, m, DEFAULT_RANDOM_STARTS, seed, extra_starts)
+    norms = pnorm(x, p_in, w)
+    keep = norms >= np.finfo(np.float64).tiny
+    x = x[keep] / norms[keep][:, None]
+    n = x.shape[0]
+    gamma, residual = np.zeros(n), np.full(n, np.inf)
+    iterations, active = np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    witness = x.copy()
+    histories = [[] for _ in range(n)]
+    for step in range(max_iter):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        xa = x[idx]
+        y = forward(xa)
+        mags_y = np.abs(y)
+        g = pnorm(mags_y, p_out, w)
+        prev = gamma[idx]
+        if step > 0 and (g < prev - 1e-9 * (1.0 + np.abs(g))).any():
+            raise RuntimeError("ratio decreased")
+        for local, row in enumerate(idx):
+            if g[local] > 0:
+                histories[row].append(float(g[local]))
+        witness[idx] = xa
+        gamma[idx] = np.maximum(g, prev)
+        iterations[idx] += 1
+        rel = np.abs(g - prev) / np.where(g > 0, g, 1.0)
+        residual[idx] = rel
+        done = (g == 0) | ((step > 0) & (rel <= tol))
+        active[idx[done]] = False
+        best = int(np.argmax(gamma))
+        if not active[best] and gamma[best] >= closes_at:
+            break
+        still = idx[~done]
+        if still.size == 0:
+            continue
+        z = adjoint(dual_map(y[~done], p_out, mags_y[~done]))
+        xn = dual_map(z, dual_exponent(p_in), np.abs(z))
+        nn = pnorm(xn, p_in, w)
+        alive = nn > 0
+        active[still[~alive]] = False
+        x[still[alive]] = xn[alive] / nn[alive][:, None]
+    best = int(np.argmax(gamma))
+    return float(gamma[best]), witness[best], int(iterations[best]), float(residual[best]), not active[best], histories, n
+
+
+_STEP_DIAGONALS = {
+    "complex-normal": lambda rng, dim: rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+    "sparse": lambda rng, dim: np.where(rng.random(dim) < 0.5, rng.standard_normal(dim), 0.0),
+    "reciprocal": lambda rng, dim: ReciprocalSymbol().values(dim),
+    "alternating": lambda rng, dim: AlternatingSymbol().values(dim),
+    "geometric0.9": lambda rng, dim: GeometricSymbol(0.9).values(dim),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_STEP_DIAGONALS)),
+    regime=st.sampled_from(
+        [(1.5, 1.5), (3.0, 3.0), (1.5, 3.0), (3.0, 1.5), (1.5, 1.0), (1.5, INF), (1.0, 3.0), (INF, 3.0)]
+    ),
+    m=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="alternating", regime=(1.5, 3.0), m=8, seed=1)
+@example(family="reciprocal", regime=(1.5, 1.0), m=6, seed=0)
+@example(family="alternating", regime=(1.5, INF), m=7, seed=2)
+def test_fused_step_matches_reference_loop_bit_for_bit(family, regime, m, seed):
+    # Each step's norm and duality map share one r = |y| / max|y|; with the
+    # same products, every value the loop reports keeps its bytes.
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    diag = np.asarray(_STEP_DIAGONALS[family](rng, dim), dtype=np.complex128)
+    # A zero row and a subnormal one are dropped; subnormal coordinates in a
+    # normal row survive the alternating symbol's permutation kernel and
+    # reach the phase's guard.
+    some_subnormal = np.ones(dim, dtype=np.complex128)
+    some_subnormal[dim // 2] = 1e-310
+    extra = [np.zeros(dim), np.full(dim, 1e-310), some_subnormal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _power_lower(diag, m, *regime, seed=seed % 1000, extra_starts=extra, want_history=True)
+        ref = _reference_power_lower(diag, m, *regime, seed=seed % 1000, extra_starts=extra)
+    value, witness, iterations, residual, converged, histories, starts = ref
+    assert math.isfinite(run.value) and run.starts == starts
+    assert repr(run.value) == repr(value)
+    assert run.witness.tobytes() == witness.tobytes()
+    assert (run.iterations, run.converged) == (iterations, converged)
+    assert repr(run.residual) == repr(residual)
+    assert run.histories == histories
 
 
 _TRANSLATION_FAMILIES = {
