@@ -98,22 +98,6 @@ def synthesis_exponent(p: float) -> float:
     return p
 
 
-def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def hy_ratios(values: np.ndarray, p: float) -> np.ndarray:
-    """``hy_ratio`` of each row of cell values, 0 for a zero row; p unchecked."""
-    dim = values.shape[-1]
-    coeffs = _scale(np.divide, fwht(values), dim)
-    return _ratios(pnorm(coeffs, dual_exponent(p)), pnorm(values, p, 1.0 / dim))
-
-
-def synthesis_ratios(coeffs: np.ndarray, p: float) -> np.ndarray:
-    """``synthesis_ratio`` of each row of coefficients, 0 for a zero row; p unchecked."""
-    return _ratios(pnorm(fwht(coeffs), p, 1.0 / coeffs.shape[-1]), pnorm(coeffs, dual_exponent(p)))
-
-
 def hy_ratio(f: StepFunction, p: float) -> float:
     """Ratio ||f_hat||_{p'} / ||f||_p for 1 < p <= 2.
 
@@ -123,7 +107,10 @@ def hy_ratio(f: StepFunction, p: float) -> float:
     p = hy_exponent(p)
     if not f.values.any():
         raise ValueError("undefined ratio for identically zero input")
-    return float(hy_ratios(f.values, p))
+    dim = f.values.shape[-1]
+    coeffs = _scale(np.divide, fwht(f.values), dim)
+    num, den = pnorm(coeffs, dual_exponent(p)), pnorm(f.values, p, 1.0 / dim)
+    return num / den if den > 0 else 0.0
 
 
 def synthesis_ratio(c: CoeffVector, p: float) -> float:
@@ -135,4 +122,6 @@ def synthesis_ratio(c: CoeffVector, p: float) -> float:
     p = synthesis_exponent(p)
     if not c.coeffs.any():
         raise ValueError("undefined ratio for identically zero input")
-    return float(synthesis_ratios(c.coeffs, p))
+    dim = c.coeffs.shape[-1]
+    num, den = pnorm(fwht(c.coeffs), p, 1.0 / dim), pnorm(c.coeffs, dual_exponent(p))
+    return num / den if den > 0 else 0.0

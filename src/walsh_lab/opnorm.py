@@ -17,13 +17,12 @@ Rayleigh-type ratio never decreases, reported together with convergence
 metadata.  It is a lower bound up to a few ulps of rounding, not a certified
 one: run on geometric r = 0.7 at m = 7, (1.25, inf) (since given the exact
 path above), the loop returned a value 1.5e-15 relative above the exact
-norm.  For dim <= ``GEMM_MAX_DIM`` each power step multiplies by the
-cell-space kernel matrix ``k[i ^ j]``, ``k = K / 2**m``; above it, by the
-Kronecker-factored Walsh transform ``H_A (x) H_B`` with the diagonal between
-(``_row_operators``), which holds nothing of size N x N.  That matrix
-commutes with every translation ``i -> i ^ h``, so the cell start ``e_h``
-repeats the run from ``e_0`` translated, and the start block holds ``e_0``
-alone: 21 starts at m >= 2.
+norm.  Each power step multiplies by the Kronecker-factored Walsh transform
+``H_A (x) H_B`` with the diagonal between (``_row_operators``), which holds
+nothing of size N x N.  The operator it applies, the cell-space kernel
+matrix ``k[i ^ j]`` with ``k = K / 2**m``, commutes with every translation
+``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
+translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
 
 Certified upper bounds (``certified_upper``, rounded up):
 
@@ -56,9 +55,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, fwht, walsh_matrix, walsh_step
-from .metrics import dual_exponent, hy_exponent, pnorm, synthesis_exponent
-from .multiplier import apply_diag, kernel_matrix
+from .dyadic import (
+    MAX_TRANSFORM_LEVELS,
+    Resolution,
+    coeff_vector,
+    fwht,
+    step_function,
+    walsh_matrix,
+    walsh_step,
+)
+from .metrics import (
+    _check_exponent,
+    dual_exponent,
+    hy_exponent,
+    hy_ratio,
+    pnorm,
+    synthesis_exponent,
+    synthesis_ratio,
+)
+from .multiplier import apply_diag
 from .symbols import ExplicitSymbol, Symbol, tail
 
 INF = math.inf
@@ -75,26 +90,11 @@ _WALSH_STARTS = 3
 _MONOTONE_SLACK = 1e-9
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
-# Power steps multiply by the dense kernel matrix up to this dimension and
-# by the Kronecker-factored transform above it.  Whole power loops (12
-# unimodular random symbols in four regimes, geometric 0.9 and reciprocal at
-# (1.5, 3); medians of 9 runs each, three processes) summed at m = 7 to
-# 39-41 ms with the cutoff at 64 against 47-51 ms at 128, and at m = 6 to
-# 31-34 ms with the dense product against 32-36 ms factored.  A dense
-# product of 21 rows runs on two OpenBLAS threads (0.015-0.018 ms wall and
-# twice that CPU at 64, 0.051 ms wall at 128), the factored one at m <= 8 on
-# one (0.018-0.025 ms at 64, 0.029-0.040 ms at 128).  Measured on a 2-vCPU
-# x86-64 VM with OpenBLAS 0.3.31.  After each threaded product OpenBLAS's
-# worker threads spin for a while, and that CPU is billed to whatever runs
-# next; numpy offers no per-call thread control, and this package sets no
-# environment variable: a caller who counts CPU time can set
-# OPENBLAS_NUM_THREADS=1 before numpy is first imported.
-GEMM_MAX_DIM = 64
 # The power loop holds about 150 bytes per start and cell at its peak
 # (13 MB traced for 21 starts at m = 12, 3.2 GB at m = 20), and one step of
-# 21 starts at m = 12 takes 6.4-6.9 ms on the VM above (17.5 ms with the
-# transform pair), so 500 steps about 3.4 s; each further level doubles
-# both.
+# 21 starts at m = 12 takes 6.4-6.9 ms on a 2-vCPU x86-64 VM with OpenBLAS
+# 0.3.31 (17.5 ms with the transform pair), so 500 steps about 3.4 s; each
+# further level doubles both.
 MAX_POWER_LEVELS = 12
 
 
@@ -137,9 +137,6 @@ class ConstantProbe:
 
     def recompute(self) -> float:
         """Re-evaluate the ratio from the stored witness."""
-        from .dyadic import coeff_vector, step_function
-        from .metrics import hy_ratio, synthesis_ratio
-
         if self.inequality == "hy":
             return hy_ratio(step_function(self.witness), self.p)
         if self.inequality == "synthesis":
@@ -185,18 +182,38 @@ def _phase(v: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dual_map(v: np.ndarray, mags: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
+    """Hoelder duality map ``phase(v) r**(q-1)`` of rows ``v`` with moduli
+    ``mags`` and ``r = mags / max(mags)`` per row.
+
+    For q < 2 the power q - 1 < 1 magnifies rounding noise: a coordinate
+    that should be zero but reads 1e-17 of the row maximum maps to 3e-9 at
+    q = 1.5, and to a full phase at q = 1.  Coordinates below ``eps`` of the
+    row maximum, beneath the resolution of any sum that holds it, map to
+    zero.  Of the pairing ``sum r**q >= 1`` of a row with its exact map they
+    held less than ``N eps**q <= N eps``, and dropping them only shrinks the
+    map's dual norm, so each map keeps Hoelder's equality to a factor
+    ``1 - N eps``, and a power step, with its two maps, can fall by at most
+    about ``2 N eps`` relative: 1.8e-12 at m = 12, far inside
+    ``_MONOTONE_SLACK``.
+    """
+    u = _phase(v, mags)
+    if q != 1.0:
+        u *= r ** (q - 1.0)
+    if q < 2.0:
+        np.copyto(u, 0.0, where=r < _EPS)
+    return u
+
+
 def _dual_map_rows(v: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise Hoelder duality map: phase(v) |v|**(q-1), scale-free.
+    """Row-wise ``_dual_map``, scale-free.
 
     q = 1 keeps only the phases; q = inf keeps those of the max-modulus
     coordinates.  Rows of zeros map to zeros.
     """
     mags = np.abs(v)
-    if q == 1.0:
-        return _phase(v, mags)
     top = mags.max(axis=-1, keepdims=True)
-    safe = np.where(top > 0, top, 1.0)
-    return _phase(v, mags) * (mags / safe) ** (q - 1.0)
+    return _dual_map(v, mags, mags / np.where(top > 0, top, 1.0), q)
 
 
 def _start_matrix(
@@ -234,9 +251,9 @@ def _start_matrix(
 def _row_operators(diag: np.ndarray):
     """The multiplier and its adjoint as maps on row batches of cell values.
 
-    Up to ``GEMM_MAX_DIM`` both are one product with the symmetric kernel
-    matrix ``M`` (``x @ M`` and ``x @ conj(M)``).  Above it they go through
-    the Kronecker-factored Walsh transform.  Split N = A B with
+    Both multiply by the symmetric kernel matrix ``M`` (``x @ M`` and
+    ``x @ conj(M)``) through the Kronecker-factored Walsh transform, at
+    every m.  Split N = A B with
     ``A = 2**floor(m/2)``, ``B = 2**ceil(m/2)``, cells as ``i = i_hi B + i_lo``
     and Walsh indices as ``n = n_hi A + n_lo``.  Paley order reverses the
     bits of the cell, so ``W_n(i) = W^A_{n_lo}(i_hi) W^B_{n_hi}(i_lo)``
@@ -254,10 +271,6 @@ def _row_operators(diag: np.ndarray):
     at m = 12 the factors take 32 KiB each.
     """
     dim = diag.shape[-1]
-    if dim <= GEMM_MAX_DIM:
-        mat = kernel_matrix(diag)
-        adj = np.conj(mat)
-        return (lambda v: v @ mat), (lambda v: v @ adj)
     m = dim.bit_length() - 1
     a, b = 1 << (m // 2), 1 << (m - m // 2)
     h_a, h_b = (walsh_matrix(k).astype(np.float64) for k in (m // 2, m - m // 2))
@@ -310,8 +323,8 @@ def _power_lower(
     The active starts are carried as one compact batch ``x``, start ``idx[i]``
     in row i.  Each step takes ``r = |y| / max|y|`` of ``y = T x`` once: it
     serves both the ``L^{p_out}`` norm (``r ** p_out``, as ``pnorm`` sums it)
-    and the duality map (``r ** (p_out - 1)``), so the values are those of
-    ``pnorm`` and ``_dual_map_rows`` bit for bit.
+    and the duality map (``_dual_map``), so the values are those of ``pnorm``
+    and ``_dual_map_rows`` bit for bit.
     """
     if m > MAX_POWER_LEVELS:
         raise ValueError(
@@ -381,10 +394,7 @@ def _power_lower(
         if not still.all():
             idx, y, mags, r = idx[still], y[still], mags[still], r[still]
 
-        u = _phase(y, mags)
-        if p_out != 1.0:
-            u *= r ** (p_out - 1.0)
-        xn = _dual_map_rows(adjoint(u), q_dual)
+        xn = _dual_map_rows(adjoint(_dual_map(y, mags, r, p_out)), q_dual)
         nn = pnorm(xn, p_in, w)
         alive = nn > 0
         active[idx[~alive]] = False
@@ -404,10 +414,7 @@ def _power_lower(
 
 
 def _exponents(p_in, p_out) -> tuple[float, float]:
-    for p in (p_in, p_out):
-        if math.isnan(float(p)) or float(p) < 1.0:
-            raise ValueError(f"exponents must lie in [1, inf], got {p}")
-    return float(p_in), float(p_out)
+    return _check_exponent(p_in), _check_exponent(p_out)
 
 
 def _exact_norm(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float | None:

@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 from functools import partial, reduce
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from walsh_lab import (
     tail_norm,
 )
 from walsh_lab.dyadic import MAX_TRANSFORM_LEVELS
-from walsh_lab.multiplier import apply_diag
+from walsh_lab.multiplier import apply_diag, kernel_matrix
 from walsh_lab.metrics import pnorm
 from walsh_lab.opnorm import (
     DEFAULT_MAX_ITER,
@@ -120,17 +119,20 @@ def test_lower_bounds_sandwiched_by_certified_upper():
 @example(m=12, rows=25, zero_frac=0.5, seed=1)
 @example(m=9, rows=1, zero_frac=1.0, seed=2)
 def test_kernel_product_matches_transform_pair(m, rows, zero_frac, seed):
-    # Dense kernel product up to GEMM_MAX_DIM, Kronecker-factored transform
-    # above it; exact zeros in the diagonal must stay exact.
+    # The Kronecker-factored product against the fwht transform pair at every
+    # m, and against the dense kernel matrix k[i ^ j] at m <= 8; exact zeros
+    # in the diagonal must stay exact.
     rng = np.random.default_rng(seed)
     dim = 1 << m
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     diag[rng.random(dim) < zero_frac] = 0.0
     x = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     forward, adjoint = _row_operators(diag)
-    for got, ref in ((forward(x), apply_diag(diag, x)), (adjoint(x), apply_diag(np.conj(diag), x))):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for d, got in ((diag, forward(x)), (np.conj(diag), adjoint(x))):
+        refs = [apply_diag(d, x)] + ([x @ kernel_matrix(d)] if m <= 8 else [])
+        for ref in refs:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_row_operators_hold_no_dense_matrix():
@@ -177,7 +179,7 @@ def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
 def test_p2_power_loop_reaches_sup_and_never_exceeds_it(m, seed):
     # opnorm returns sup|a_n| at (2, 2) without iterating.  The Walsh start
     # with the largest |a_n| is an eigenvector, so the loop reaches sup at its
-    # first step, on the kernel-product path (m <= 6) and the factored path.
+    # first step.
     rng = np.random.default_rng(seed)
     dim = 1 << m
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -323,10 +325,14 @@ def _reference_power_lower(diag, m, p_in, p_out, *, seed, extra_starts, max_iter
         return out
 
     def dual_map(v, q, mags):
-        if q == 1.0:
-            return phase(v, mags)
         top = mags.max(axis=-1, keepdims=True)
-        return phase(v, mags) * (mags / np.where(top > 0, top, 1.0)) ** (q - 1.0)
+        r = mags / np.where(top > 0, top, 1.0)
+        out = phase(v, mags) if q == 1.0 else phase(v, mags) * r ** (q - 1.0)
+        if q < 2.0:
+            # A power below 1 would magnify rounding noise: zero what lies
+            # below eps of the row maximum.
+            out[r < np.finfo(np.float64).eps] = 0.0
+        return out
 
     w = 2.0**-m
     tol = DEFAULT_TOL
@@ -399,6 +405,7 @@ _STEP_DIAGONALS = {
 @example(family="alternating", regime=(1.5, 3.0), m=8, seed=1)
 @example(family="reciprocal", regime=(1.5, 1.0), m=6, seed=0)
 @example(family="alternating", regime=(1.5, INF), m=7, seed=2)
+@example(family="alternating", regime=(1.5, 1.5), m=5, seed=0)
 def test_fused_step_matches_reference_loop_bit_for_bit(family, regime, m, seed):
     # Each step's norm and duality map share one r = |y| / max|y|; with the
     # same products, every value the loop reports keeps its bytes.
@@ -424,6 +431,36 @@ def test_fused_step_matches_reference_loop_bit_for_bit(family, regime, m, seed):
     assert run.histories == histories
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(0, 12),
+    q=st.sampled_from([1.0, 1.001, 1.25, 1.5, 1.99, 2.0, 3.0]),
+    tiny_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_map_floor_drops_under_n_eps_of_the_pairing(m, q, tiny_frac, seed):
+    # For q < 2 the duality map zeroes the coordinates below eps of the row
+    # maximum.  Of the pairing sum(r**q) >= 1 of v with the exact map
+    # phase(v) r**(q - 1) they held less than N eps, which bounds the ascent
+    # a power step can lose to the floor; every other coordinate is exact.
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    v = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    tiny = rng.random((3, dim)) < tiny_frac
+    v[tiny] *= 10.0 ** rng.uniform(-40, -12, tiny.sum())
+    u = opnorm_module._dual_map_rows(v, q)
+    mags = np.abs(v)
+    r = mags / mags.max(axis=-1, keepdims=True)
+    exact = v / mags * r ** (q - 1.0)
+    dropped = r < eps if q < 2.0 else np.zeros_like(r, dtype=bool)
+    assert not u[dropped].any()
+    np.testing.assert_allclose(u[~dropped], exact[~dropped], rtol=1e-15, atol=0)
+    pairing = (r**q).sum(axis=-1)
+    lost = np.where(dropped, r**q, 0.0).sum(axis=-1)
+    assert np.all(pairing >= 1.0) and np.all(lost <= dim * eps * pairing)
+
+
 _TRANSLATION_FAMILIES = {
     "reciprocal": lambda m, seed: ReciprocalSymbol(),
     "alternating": lambda m, seed: AlternatingSymbol(),
@@ -438,22 +475,23 @@ _TRANSLATION_FAMILIES = {
     regime=st.sampled_from([(1.5, 1.5), (1.5, 3.0), (3.0, 1.5), (1.25, 1.75)]),
     m=st.integers(1, 8),
     h=st.integers(0, 255),
-    gemm=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cell_translates_run_the_same_trajectory(family, regime, m, h, gemm, seed):
+@example(family="alternating", regime=(3.0, 1.5), m=8, h=48, seed=0)
+def test_cell_translates_run_the_same_trajectory(family, regime, m, h, seed):
     # M[i, j] = k(i ^ j) commutes with i -> i ^ h, so the run from e_h is the
-    # run from e_0 translated, on both operator paths; this is why the default
-    # block holds e_0 alone.
+    # run from e_0 translated, up to the rounding of the factored product;
+    # this is why the default block holds e_0 alone.  The example's kernel is
+    # a point mass: the product leaves 1e-17 where the run holds zeros, which
+    # the duality maps' square roots would grow into start-dependent entries
+    # but for their eps floor.
     dim = 1 << m
     diag = _TRANSLATION_FAMILIES[family](m, seed).values(dim)
     cells = np.eye(dim)
-    module = importlib.import_module("walsh_lab.opnorm")
-    with mock.patch.object(module, "GEMM_MAX_DIM", dim if gemm else 0):
-        run = _power_lower(
-            diag, m, *regime,
-            random_starts=0, max_iter=100, extra_starts=[cells[0], cells[h % dim]], want_history=True,
-        )
+    run = _power_lower(
+        diag, m, *regime,
+        random_starts=0, max_iter=100, extra_starts=[cells[0], cells[h % dim]], want_history=True,
+    )
     ref, moved = run.histories[-2:]
     assert len(moved) == len(ref)
     np.testing.assert_allclose(moved, ref, rtol=1e-12, atol=0)
