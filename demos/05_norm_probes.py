@@ -22,7 +22,6 @@ from walsh_lab import (
     constant_probe,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper,
     random_explicit_symbol,
 )
 
@@ -38,10 +37,9 @@ print("\nAscent lower bounds vs the certified upper bound (random symbol):")
 sym = random_explicit_symbol(rng, 64)
 sup = np.abs(sym.values(64)).max()
 for p in (1.5, 3.0):
-    lo = opnorm(sym, res, p, p)
-    hi = opnorm_upper(sym, res, p, p)
-    print(f"  p={p}: sup|a|={sup:.6f}  lower={lo.value:.9f} ({lo.iterations} iters)"
-          f"  upper={hi.value:.9f}")
+    est = opnorm(sym, res, p, p)
+    print(f"  p={p}: sup|a|={sup:.6f}  lower={est.value:.9f} ({est.iterations} iters)"
+          f"  upper={est.upper:.9f}")
 
 print("\nAdjoint symmetry: conjugate symbol at the dual exponent, same norm:")
 report = multiplier_bound_check(sym, res, 1.5, seed=1)
@@ -63,3 +61,9 @@ print("\nThe alternating multiplier is an isometry on every L^p:")
 for p in (1.0, 1.5, 2.0, 4.0, np.inf):
     est = opnorm(AlternatingSymbol(), res, p, p)
     print(f"  p={p}: {est.value:.9f}  [{est.kind}]")
+
+print("\nAbove m=12 no power loop runs; the bracket's lower end is max(sup|a_n|, ratio at e_0):")
+for m in (13, 20):
+    est = opnorm(AlternatingSymbol(), Resolution(m), 1.5, 3.0)
+    print(f"  m={m}: [{est.value:.9f}, {est.upper:.9f}]  [{est.kind}, {est.iterations} iters],"
+          f" norm N**(1/3) = {2 ** (m / 3):.9f}")

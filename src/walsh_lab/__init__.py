@@ -29,7 +29,6 @@ from .opnorm import (
     constant_probe,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper,
     random_explicit_symbol,
     tail_norm,
 )

@@ -12,14 +12,14 @@ Exact paths:
   As ``||K||_{L^r} >= |a_n|``, the value is raised to ``sup |a_n|`` if
   rounding left it below, so it never contradicts the paths above.
 
-Every other regime gets a *lower* bound from a dual power iteration whose
-Rayleigh-type ratio never decreases, reported together with convergence
-metadata.  It is a lower bound up to a few ulps of rounding, not a certified
-one: run on geometric r = 0.7 at m = 7, (1.25, inf) (since given the exact
-path above), the loop returned a value 1.5e-15 relative above the exact
-norm.  Each power step multiplies by the Kronecker-factored Walsh transform
-``H_A (x) H_B`` with the diagonal between (``_row_operators``), which holds
-nothing of size N x N.  The operator it applies, the cell-space kernel
+Every other regime gets a *lower* bound, at m <= ``MAX_POWER_LEVELS`` from
+a dual power iteration whose Rayleigh-type ratio never decreases, reported
+together with convergence metadata.  It is a lower bound up to a few ulps
+of rounding, not a certified one: run on geometric r = 0.7 at m = 7,
+(1.25, inf) (since given the exact path above), the loop returned a value
+1.5e-15 relative above the exact norm.  Each power step multiplies by the
+Kronecker-factored Walsh transform ``H_A (x) H_B`` with the diagonal between
+(``_row_operators``), which holds nothing of size N x N.  The operator it applies, the cell-space kernel
 matrix ``k[i ^ j]`` with ``k = K / 2**m``, commutes with every translation
 ``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
 translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
@@ -40,9 +40,13 @@ Certified upper bounds (``certified_upper``, rounded up):
   (Riesz-Thorin between the equal endpoint norms), and so every p -> q norm
   with q <= p (monotonicity of L^q norms on a probability space).
 
-The power loop ends once its best start has stopped and its ratio meets the
-certified upper bound to within ``tol``: the bracket is closed, and no other
-start can raise the value by more than ``tol``.
+Every ``NormEstimate`` carries the upper end of its bracket in ``upper``: the
+value itself on the exact paths, ``certified_upper`` elsewhere.  The power
+loop ends once its best start has stopped and its ratio meets that bound to
+within ``tol``: the bracket is closed, and no other start can raise the
+value by more than ``tol``.  Above ``MAX_POWER_LEVELS`` no loop runs, and
+the lower end is the larger of ``sup |a_n|`` (the Walsh functions) and the
+ratio at the cell indicator ``e_0`` (one transform).
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -80,7 +84,6 @@ INF = math.inf
 
 EXACT = "exact"
 LOWER = "lower"
-UPPER = "upper"
 
 # Iteration defaults; the acceptance tolerances assume these.
 DEFAULT_RANDOM_STARTS = 16
@@ -94,16 +97,20 @@ _EPS = np.finfo(np.float64).eps
 # (13 MB traced for 21 starts at m = 12, 3.2 GB at m = 20), and one step of
 # 21 starts at m = 12 takes 6.4-6.9 ms on a 2-vCPU x86-64 VM with OpenBLAS
 # 0.3.31 (17.5 ms with the transform pair), so 500 steps about 3.4 s; each
-# further level doubles both.
+# further level doubles both.  Above it ``opnorm`` runs no loop.
 MAX_POWER_LEVELS = 12
 
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A norm value tagged exact / lower / upper with convergence metadata.
+    """A norm value tagged exact / lower, the upper end of its bracket, and
+    convergence metadata.
 
-    ``converged`` is false when the iteration behind a ``lower`` value used up
-    ``max_iter`` without meeting its tolerance.
+    ``upper`` equals ``value`` when ``kind`` is ``exact``; after a ``lower``
+    value it is a certified bound (``certified_upper``), ``inf`` where none
+    exists.  ``converged`` is false when the iteration behind a ``lower``
+    value used up ``max_iter`` without meeting its tolerance; a ``lower``
+    value with ``iterations == 0`` ran no iteration.
     """
 
     value: float
@@ -112,6 +119,7 @@ class NormEstimate:
     residual: float = 0.0
     starts: int = 0
     converged: bool = True
+    upper: float = INF
 
 
 @dataclass
@@ -162,10 +170,13 @@ class _PowerResult:
     residual: float
     starts: int
     converged: bool
+    upper: float
     histories: list[list[float]] | None = None
 
     def estimate(self) -> NormEstimate:
-        return NormEstimate(self.value, LOWER, self.iterations, self.residual, self.starts, self.converged)
+        return NormEstimate(
+            self.value, LOWER, self.iterations, self.residual, self.starts, self.converged, self.upper
+        )
 
 
 def _phase(v: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -334,7 +345,8 @@ def _power_lower(
     w = 2.0**-m
     q_dual = dual_exponent(p_in)
     forward, adjoint = _row_operators(diag)
-    closes_at = certified_upper(diag, m, p_in, p_out) * (1.0 - tol)
+    upper = certified_upper(diag, m, p_in, p_out)
+    closes_at = upper * (1.0 - tol)
 
     x = _start_matrix(diag, m, random_starts, seed, extra_starts)
     norms = pnorm(x, p_in, w)
@@ -409,12 +421,9 @@ def _power_lower(
         residual=float(residual[best]) if math.isfinite(residual[best]) else float("inf"),
         starts=n_starts,
         converged=not active[best],
+        upper=upper,
         histories=histories,
     )
-
-
-def _exponents(p_in, p_out) -> tuple[float, float]:
-    return _check_exponent(p_in), _check_exponent(p_out)
 
 
 def _exact_norm(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float | None:
@@ -438,7 +447,8 @@ def opnorm(
     tol: float = DEFAULT_TOL,
 ) -> NormEstimate:
     """Norm of the multiplier on the 2**m-dimensional step-function space,
-    measured from the L^{p_in} domain norm to the L^{p_out} range norm.
+    measured from the L^{p_in} domain norm to the L^{p_out} range norm, as
+    the bracket ``[value, upper]``.
 
     Paths:
 
@@ -448,15 +458,33 @@ def opnorm(
       ``K = fwht(a)`` with ``r = p_out`` if ``p_in = 1``, else ``r = p_in'``
       (the dual exponent), raised to ``max |a_n|`` if rounding left it below;
       O(N log N) at every m.
-    * anything else: iterative lower bound (see ``_power_lower``), m <= 12;
-      ``opnorm_upper`` gives the certified upper end of the bracket.
+    * anything else at m <= ``MAX_POWER_LEVELS``: the iterative lower bound
+      of ``_power_lower``, with ``upper`` the ``certified_upper`` bound it
+      stops on.
+    * anything else at ``MAX_POWER_LEVELS < m <= MAX_TRANSFORM_LEVELS``: no
+      iteration; the lower bound is the larger of ``max |a_n|`` (``T W_n =
+      a_n W_n``) and ``||T e_0||_{p_out} / ||e_0||_{p_in}`` for the cell
+      indicator ``e_0``, whose image is ``fwht(a) / N`` (one transform), and
+      ``upper`` is ``certified_upper``.  Larger m is refused.
+
+    ``tol`` must be finite and nonnegative.
     """
-    p_in, p_out = _exponents(p_in, p_out)
+    p_in, p_out = _check_exponent(p_in), _check_exponent(p_out)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    m = res.m
     diag = sym.values(res.dim)
-    exact = _exact_norm(diag, res.m, p_in, p_out)
+    exact = _exact_norm(diag, m, p_in, p_out)
     if exact is not None:
-        return NormEstimate(exact, EXACT)
-    return _power_lower(diag, res.m, p_in, p_out, seed=seed, tol=tol).estimate()
+        return NormEstimate(exact, EXACT, upper=exact)
+    if m <= MAX_POWER_LEVELS:
+        return _power_lower(diag, m, p_in, p_out, seed=seed, tol=tol).estimate()
+    if m > MAX_TRANSFORM_LEVELS:
+        raise ValueError(f"norm brackets limited to m <= {MAX_TRANSFORM_LEVELS}, got {m}")
+    w = 2.0**-m
+    at_cell = pnorm(fwht(diag), p_out, w) / res.dim / w ** (1.0 / p_in)
+    lower = max(float(np.abs(diag).max()), at_cell)
+    return NormEstimate(lower, LOWER, upper=certified_upper(diag, m, p_in, p_out))
 
 
 def kernel_l1_upper(diags: np.ndarray) -> np.ndarray:
@@ -495,19 +523,6 @@ def certified_upper(diag: np.ndarray, m: int, p_in: float, p_out: float) -> floa
     if p_out <= p_in:
         upper = min(upper, float(kernel_l1_upper(diag)))
     return float(upper)
-
-
-def opnorm_upper(sym: Symbol, res: Resolution, p_in: float, p_out: float) -> NormEstimate:
-    """Upper end of the ``opnorm`` bracket: the exact value on its exact
-    paths, else the ``certified_upper`` bound its power loop stops on, tagged
-    ``upper``.  O(N log N) at every m.
-    """
-    p_in, p_out = _exponents(p_in, p_out)
-    diag = sym.values(res.dim)
-    exact = _exact_norm(diag, res.m, p_in, p_out)
-    if exact is not None:
-        return NormEstimate(exact, EXACT)
-    return NormEstimate(certified_upper(diag, res.m, p_in, p_out), UPPER)
 
 
 def tail_norm(

@@ -353,7 +353,7 @@ def spectral_report(sym: Symbol, query: SpectralQuery) -> SpectralReport:
         m=res.m,
         point_spectrum=point_spectrum(sym, res),
         membership=cert,
-        resolvent_norm_l2=resolvent_norm_l2(sym, query.lam),
+        resolvent_norm_l2=INF if cert.delta == 0.0 else 1.0 / cert.delta,
         compactness="compact" if sym.is_c0 else "not_compact",
         accumulation_check=acc,
     )

@@ -15,7 +15,7 @@ import numpy as np
 from . import dyadic, multiplier, spectral
 from .dyadic import Resolution, StepFunction, analysis, coeff_vector, fwht, walsh_step
 from .metrics import hy_ratio, lp_norm, lq_norm, synthesis_ratio, walsh_distance
-from .opnorm import DEFAULT_TOL, opnorm, opnorm_upper
+from .opnorm import DEFAULT_TOL, opnorm
 from .symbols import (
     AlternatingSymbol,
     ConstantSymbol,
@@ -229,10 +229,9 @@ def multiplier_checks(seed: int = 0) -> list[CheckResult]:
     closed = cases = 0
     for sym2 in _family_zoo():
         for p_in, p_out in ((1.5, 3.0), (1.5, 1.5), (3.0, 3.0), (1.25, 1.75)):
-            lower = opnorm(sym2, res6, p_in, p_out, seed=seed).value
-            upper = opnorm_upper(sym2, res6, p_in, p_out).value
-            worst = max(worst, lower / upper)
-            closed += lower >= upper * (1.0 - DEFAULT_TOL)
+            est = opnorm(sym2, res6, p_in, p_out, seed=seed)
+            worst = max(worst, est.value / est.upper)
+            closed += est.value >= est.upper * (1.0 - DEFAULT_TOL)
             cases += 1
     out.append(
         CheckResult(

@@ -27,7 +27,6 @@ from walsh_lab import (
     lq_norm,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper,
     random_explicit_symbol,
     resolvent_norm_l2,
     separation_distance,
@@ -158,8 +157,7 @@ def test_criterion_07_opnorm_consistency():
         diag = sym.values(64)
         for p in (1.5, 3.0):
             run = _power_lower(diag, 6, p, p, seed=k, want_history=True)
-            upper = opnorm_upper(sym, res, p, p).value
-            assert run.value <= upper + 1e-10
+            assert run.value <= run.upper + 1e-10
             for hist in run.histories:
                 assert all(b >= a - 1e-12 * (1.0 + abs(b)) for a, b in zip(hist, hist[1:]))
     assert worst <= 1e-10

@@ -149,6 +149,10 @@ _SCIPY_MODULES = "print(sorted(n for n in sys.modules if n.split('.')[0] == 'sci
     "import sys, runpy; sys.argv = ['walsh_lab', 'verify']\n"
     "try:\n    runpy.run_module('walsh_lab', run_name='__main__')\n"
     "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+    "import sys, runpy\n"
+    "sys.argv = ['walsh_lab', 'sweep', 'opnorm', '--m', '14', '--p-in', '1.5', '--p-out', '3']\n"
+    "try:\n    runpy.run_module('walsh_lab', run_name='__main__')\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
 ])
 def test_import_and_sweep_load_no_scipy(code):
     assert _last_line_of_fresh_python(f"{code}\n{_SCIPY_MODULES}") == "[]"
@@ -202,12 +206,34 @@ def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):
         assert estimate == pytest.approx(k_l1, rel=1e-13)
 
 
-def test_opnorm_sweep_refuses_power_iteration_above_m12(capsys):
-    code, _, err = run_cli(capsys, "sweep", "opnorm", "--m", "13", "--p-in", "1.5", "--p-out", "1.5")
-    assert code == 2 and "m <= 12" in err
+def test_opnorm_and_tail_decay_sweeps_answer_above_m12(capsys):
+    # Above the power loop's cap a non-exact regime prints the bracket's
+    # lower end, with no iteration; for alternating that is N**(1/p - 1/q).
+    code, out, _ = run_cli(
+        capsys, "sweep", "opnorm", "--symbol", "alternating", "--m", "13", "--p-in", "1.5", "--p-out", "3",
+    )
+    assert code == 0
+    fields = out.splitlines()[2].split(",")
+    assert fields[6:9] == ["lower", "1.0", "0"]
+    assert float(fields[5]) == pytest.approx(2 ** (13 / 3), rel=1e-12)
+    code, out, _ = run_cli(capsys, "sweep", "tail-decay", "--m", "14", "--p-in", "1.5", "--p-out", "1.5")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[2:]]
+    assert len(rows) == 5 and all(row[5] == row[6] for row in rows)
     code, out, _ = run_cli(capsys, "sweep", "opnorm", "--m", "16", "--p-in", "1", "--p-out", "3")
     assert code == 0
     assert out.splitlines()[2].split(",")[6] == "exact"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("kind", ["opnorm", "tail-decay"])
+def test_sweeps_refuse_negative_or_non_finite_tol(capsys, kind, tol):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", kind, "--symbol", "alternating", "--m", "8", "--p-in", "1.5", "--p-out", "3", f"--tol={tol}",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: tol must be finite and >= 0")
 
 
 def test_opnorm_sweep_schema(capsys):

@@ -22,7 +22,6 @@ from walsh_lab import (
     dual_exponent,
     multiplier_bound_check,
     opnorm,
-    opnorm_upper,
     random_explicit_symbol,
     resolvent_symbol,
     tail_norm,
@@ -34,6 +33,7 @@ from walsh_lab.opnorm import (
     DEFAULT_MAX_ITER,
     DEFAULT_RANDOM_STARTS,
     DEFAULT_TOL,
+    MAX_POWER_LEVELS,
     _power_lower,
     _row_operators,
     certified_upper,
@@ -95,6 +95,16 @@ def test_invalid_exponents_rejected():
         opnorm(ReciprocalSymbol(), Resolution(4), 0.5, 2.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, INF])
+@pytest.mark.parametrize("regime", [(1.5, 3.0), (2.0, 2.0)])
+def test_opnorm_refuses_negative_or_non_finite_tol(regime, tol):
+    # A NaN or negative tolerance never stops a start, so the loop would
+    # always run all max_iter steps.
+    with pytest.raises(ValueError, match="tol must be finite"):
+        opnorm(AlternatingSymbol(), Resolution(8), *regime, tol=tol)
+    assert opnorm(AlternatingSymbol(), Resolution(8), *regime, tol=0.0).value >= 1.0
+
+
 def test_lower_bounds_sandwiched_by_certified_upper():
     rng = np.random.default_rng(1)
     res = Resolution(6)
@@ -102,10 +112,9 @@ def test_lower_bounds_sandwiched_by_certified_upper():
         sym = random_explicit_symbol(rng, 64)
         sup = np.abs(sym.values(64)).max()
         for p in (1.5, 3.0):
-            lo = opnorm(sym, res, p, p, seed=k)
-            hi = opnorm_upper(sym, res, p, p)
-            assert lo.kind == "lower" and hi.kind == "upper"
-            assert sup - 1e-10 <= lo.value <= hi.value + 1e-10
+            est = opnorm(sym, res, p, p, seed=k)
+            assert est.kind == "lower"
+            assert sup - 1e-10 <= est.value <= est.upper + 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,19 +211,25 @@ _SYMBOL_DRAWS = {
     regime=st.sampled_from(
         [(1.25, 1.75), (1.5, 1.5), (1.5, 3.0), (3.0, 3.0), (4.0, 6.0), (1.75, 1.25), (3.0, 1.5), (1.0, 3.0), (1.5, INF)]
     ),
-    m=st.integers(0, 8),
+    m=st.one_of(st.integers(0, 8), st.integers(MAX_POWER_LEVELS + 1, 16)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(family="noise", regime=(1.5, 3.0), m=13, seed=0)
 def test_certified_upper_bounds_the_power_loop(family, regime, m, seed):
+    # Up to m = 8 a lower value comes from the power loop, above
+    # MAX_POWER_LEVELS from sup|a_n| and the cell indicator e_0; both sit
+    # below the bracket's upper end up to rounding.
     rng = np.random.default_rng(seed)
     dim = 1 << m
     sym = ExplicitSymbol(_SYMBOL_DRAWS[family](rng, dim), "zero")
-    diag = sym.values(dim)
-    upper = opnorm_upper(sym, Resolution(m), *regime)
-    assert upper.kind in ("upper", "exact")
-    assert upper.value >= np.abs(diag).max()
-    run = _power_lower(diag, m, *regime, seed=seed % 1000)
-    assert run.value <= upper.value * (1.0 + 1e-12)
+    est = opnorm(sym, Resolution(m), *regime, seed=seed % 1000)
+    assert est.upper >= np.abs(sym.values(dim)).max()
+    assert est.value <= est.upper * (1.0 + 1e-12)
+    if est.kind == "exact":
+        assert est.upper == est.value
+    else:
+        assert est.kind == "lower"
+        assert (est.iterations == 0) == (m > MAX_POWER_LEVELS)
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.25, 5.0), (1.1, 2.0), (2.0, 4.0)])
@@ -226,9 +241,8 @@ def test_bonami_noise_symbol_closes_at_one(p, q):
     rho = math.sqrt((min(p, 2.0) - 1.0) / (max(q, 2.0) - 1.0))
     sym = ExplicitSymbol(rho ** np.bitwise_count(np.arange(res.dim)), "zero")
     est = opnorm(sym, res, p, q)
-    upper = opnorm_upper(sym, res, p, q)
     assert (est.kind, est.iterations, est.converged) == ("lower", 2, True)
-    assert 1.0 - 1e-15 <= est.value <= upper.value <= 1.0 + 1e-14
+    assert 1.0 - 1e-15 <= est.value <= est.upper <= 1.0 + 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -240,7 +254,7 @@ def test_reciprocal_bracket_closes_after_two_steps(regime, seed):
     res = Resolution(8)
     est = opnorm(ReciprocalSymbol(), res, *regime, seed=seed)
     assert (est.value, est.iterations, est.converged) == (1.0, 2, True)
-    assert opnorm_upper(ReciprocalSymbol(), res, *regime).value == pytest.approx(1.0, rel=1e-14)
+    assert est.upper == pytest.approx(1.0, rel=1e-14)
     run = _power_lower(ReciprocalSymbol().values(res.dim), 8, *regime, seed=seed, want_history=True)
     assert max(len(hist) for hist in run.histories) <= 2
 
@@ -290,10 +304,27 @@ def test_exact_values_agree_across_paths():
 
 
 def test_power_iteration_refuses_memory_heavy_resolutions():
+    # The loop itself stays capped; opnorm answers above the cap with the
+    # bracket's one-transform lower end and refuses only past the transforms.
+    diag = ReciprocalSymbol().values(1 << 13)
     with pytest.raises(ValueError, match="m <= 12"):
-        opnorm(ReciprocalSymbol(), Resolution(13), 1.5, 1.5)
+        _power_lower(diag, 13, 1.5, 1.5)
+    est = opnorm(ReciprocalSymbol(), Resolution(13), 1.5, 1.5)
+    assert (est.kind, est.value, est.iterations, est.starts) == ("lower", 1.0, 0, 0)
+    assert 1.0 <= est.upper <= 1.0 + 1e-12
     est = opnorm(ReciprocalSymbol(), Resolution(13), 1.0, 3.0)
     assert (est.kind, est.iterations) == ("exact", 0)
+    with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}"):
+        opnorm(ReciprocalSymbol(), Resolution(MAX_TRANSFORM_LEVELS + 1), 1.5, 3.0)
+
+
+def test_alternating_lower_end_is_the_norm_at_m20():
+    # The alternating kernel is a point mass, so T e_0 is a translated cell
+    # indicator and the ratio at e_0 is N**(1/p - 1/q), the norm itself.
+    est = opnorm(AlternatingSymbol(), Resolution(20), 1.5, 3.0)
+    assert (est.kind, est.iterations, est.starts) == ("lower", 0, 0)
+    assert est.value == pytest.approx(2 ** (20 / 3), rel=1e-12)
+    assert est.value <= est.upper
 
 
 def test_exact_kernel_permutation_stays_finite():
@@ -565,6 +596,7 @@ def test_tail_norm_pp_stays_in_probe_sandwich():
         est, analytic = tail_norm(ReciprocalSymbol(), cutoff, res, p, p)
         # lower end: the Walsh eigenfunction witness
         assert est.value >= analytic - 1e-10
+        assert est.value <= est.upper * (1.0 + 1e-12)
         # upper end: the measured multiplier constant for this very symbol
         from walsh_lab import tail
 
@@ -598,6 +630,11 @@ def test_duality_symmetry_random_symbols():
         )
         report = multiplier_bound_check(sym, res, 1.5, seed=k)
         assert report.duality_gap <= 1e-6 * max(1.0, report.estimate.value)
+        # Each side carries the bound its own power loop stopped on.
+        diag = sym.values(64)
+        for est, d, p in ((report.estimate, diag, 1.5), (report.dual_estimate, np.conj(diag), 3.0)):
+            assert est.upper == certified_upper(d, 6, p, p)
+            assert est.value <= est.upper * (1.0 + 1e-12)
 
 
 def test_probe_hy_is_one_at_p2():

@@ -395,7 +395,7 @@ def test_spectral_report_serializes():
 # Membership as it was first written, with the kernel bound it called
 # inlined as it was and every witness gap re-measured: the byte reference
 # for ``membership``.
-def _opnorm_upper_interpolated_reference(sym, res, p):
+def _kernel_l1_upper_reference(sym, res, p):
     value = opnorm(sym, res, 1.0, 1.0).value
     return value * (1.0 + (res.m + 4) * res.dim * _EPS)
 
@@ -409,7 +409,7 @@ def _membership_reference(sym, query):
         b, delta = resolvent_symbol(sym, lam, query.tolerance)
         lp_upper = None
         if query.p != 2.0:
-            lp_upper = _opnorm_upper_interpolated_reference(b, res, query.p)
+            lp_upper = _kernel_l1_upper_reference(b, res, query.p)
         return MembershipCertificate(
             verdict=IN_RESOLVENT,
             lam=lam,
@@ -464,7 +464,7 @@ _GRID_FAMILIES = {
     hits=st.lists(st.integers(0, 3), max_size=3),
 )
 @example(family="alternating", p=1.5, m=0, re=[0.5625], im=[1.0], hits=[])
-def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits):
+def test_membership_matches_one_shift_reference(family, p, m, re, im, hits):
     make, spectrum = _GRID_FAMILIES[family]
     sym = make()
     lams = [complex(x, y) for y in im for x in re] + [spectrum[k % len(spectrum)] for k in hits]
@@ -482,7 +482,7 @@ def test_membership_batch_matches_one_shift_reference(family, p, m, re, im, hits
                 want.resolvent.base, want.resolvent.shift, want.resolvent.delta)
 
 
-def test_membership_batch_covers_both_branches_at_m8():
+def test_membership_covers_both_branches_at_m8():
     sym = AlternatingSymbol()
     queries = [SpectralQuery(lam, p=3.0, m=8) for lam in (1.0, 0.5j, -1.0, 2.0)]
     got = [membership(sym, query) for query in queries]
