@@ -45,6 +45,18 @@ GOLDEN = {
         ["tail-decay", "--symbol", "reciprocal", "--m", "10", "--p-in", "1", "--p-out", "1"],
         "23e0c8ceec9da27eaca7f5295bff45c8548a38b1331365e62aeaa6bd3197ace0",
     ),
+    # Above MAX_POWER_LEVELS: the exact kernel rows and the one-transform
+    # lower ends with their certified upper bounds, at m = 16.
+    "opnorm-alternating-m16": (
+        ["opnorm", "--symbol", "alternating", "--m", "16", "--p-in", "1,1.5,3",
+         "--p-out", "1.5,3,inf"],
+        "49487bc8297b5bbd30f4c15b9613aed3d4910b2637a7ea032a808e51c86a9f9b",
+    ),
+    # Tail norms and their analytic sups above MAX_POWER_LEVELS.
+    "tail-decay-alternating-m14": (
+        ["tail-decay", "--symbol", "alternating", "--m", "14", "--p-in", "1.5", "--p-out", "3"],
+        "96902a46bf31f5e8e760a671d13ce5b3541259ab126c5ea6964b57ff90960e17",
+    ),
 }
 
 
