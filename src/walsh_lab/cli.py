@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dyadic import MAX_TRANSFORM_LEVELS, Resolution
+from .multiplier import MultiplierMatrix
 from .opnorm import constant_probe, opnorm
 from .spectral import SpectralQuery, compactness_report, membership
 from .symbols import Symbol, symbol_from_json
@@ -175,7 +176,7 @@ def _sweep_opnorm(args) -> tuple[list[dict], list[str]]:
     sym = _load_symbol(args.symbol)
     res = Resolution(args.m)
     pairs = [(pi, po) for pi in _parse_exponent_list(args.p_in) for po in _parse_exponent_list(args.p_out)]
-    diag_sup = float(np.abs(sym.values(res.dim)).max())
+    diag_sup = MultiplierMatrix(sym, res).sup
 
     def row_for(pair):
         pi, po = pair

@@ -1,4 +1,5 @@
-"""Application of multiplier symbols to step functions.
+"""Application of multiplier symbols to step functions, and the operator
+record every estimator reads.
 
 On the span of the first ``2**m`` Walsh functions a multiplier acts exactly:
 transform, scale coefficient ``n`` by ``a_n``, transform back.  In cell
@@ -7,9 +8,15 @@ space the same operator is a dyadic convolution: its matrix is
 (Schipp-Wade-Simon, *Walsh Series*, ch. 1).  ``kernel`` computes ``k`` in
 O(N log N); ``kernel_matrix`` builds the matrix for small resolutions;
 everything else goes through the fast transform.
+
+``MultiplierMatrix(sym, res)`` is the one place where the facts about a
+symbol at resolution m that the estimators read are derived, each on its
+first read and at most once per record.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from .symbols import Symbol, resolvent_symbol
 # ``MultiplierMatrix.dense`` holds 16 * 4**m bytes of complex128: 256 MB at
 # m = 12 (about 0.3 s to build), and each further level quadruples it.
 MAX_DENSE_MULTIPLIER_LEVELS = 12
+_EPS = np.finfo(np.float64).eps
 
 
 def _scaled_transform(diag: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -79,15 +87,58 @@ def apply(sym: Symbol, f: StepFunction) -> StepFunction:
 class MultiplierMatrix:
     """A symbol restricted to the ``2**m``-dimensional step-function space.
 
-    ``dense()`` materializes the cell-space matrix ``k[i ^ j]`` (only for
-    m <= 12) and caches it; ``apply_diag(self.diag, v)`` is the fast product.
+    ``diag`` holds ``a_n`` for n < 2**m, ``transform`` the cell values
+    ``fwht(diag)`` of the kernel ``K = sum_n a_n W_n``, ``adjoint`` the record
+    of ``conj(diag)``.  ``dense()`` builds the matrix ``k[i ^ j]`` (m <= 12).
     """
 
-    def __init__(self, sym: Symbol, res: Resolution):
+    def __init__(self, sym: Symbol | None, res: Resolution):
         self.symbol = sym
         self.resolution = res
-        self.diag = sym.values(res.dim)
         self._dense: np.ndarray | None = None
+
+    @classmethod
+    def from_diag(cls, diag: np.ndarray) -> MultiplierMatrix:
+        """The record of a given diagonal, of power-of-two length, with no symbol."""
+        op = cls(None, Resolution(diag.shape[-1].bit_length() - 1))
+        op.__dict__["diag"] = diag
+        return op
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return self.symbol.values(self.resolution.dim)
+
+    @cached_property
+    def sup(self) -> float:
+        return float(np.abs(self.diag).max())
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        return fwht(self.diag)
+
+    @cached_property
+    def kernel_l1_upper(self) -> float:
+        """``||k||_1`` of the kernel ``k = fwht(diag) / N``, the exact (1, 1)
+        norm, raised by its rounding bound (``m sum|a_n| u`` in the butterfly,
+        ``N ||k||_1 u`` in the sum, ``sum|a_n| <= N ||k||_1``); otherwise a
+        one-signed kernel, where ``||k||_1 = sup|a_n|``, can land an ulp low."""
+        m, dim = self.resolution.m, self.resolution.dim
+        value = max(pnorm(self.transform, 1.0, 2.0**-m), self.sup)
+        return float(value * (1.0 + (m + 4) * dim * _EPS))
+
+    @cached_property
+    def popcount_max(self) -> np.ndarray:
+        """``M_j = max |a_n|`` over the n with popcount ``|n| = j``, j = 0 .. m,
+        in one pass."""
+        out = np.zeros(self.resolution.m + 1)
+        np.maximum.at(out, np.bitwise_count(np.arange(self.resolution.dim)), np.abs(self.diag))
+        return out
+
+    @cached_property
+    def adjoint(self) -> MultiplierMatrix:
+        # Built from the conjugated diagonal, not from ``sym.conjugate()``,
+        # whose values can differ in the sign of a zero imaginary part.
+        return MultiplierMatrix.from_diag(np.conj(self.diag))
 
     def dense(self) -> np.ndarray:
         if self._dense is None:

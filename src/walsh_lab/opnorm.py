@@ -1,4 +1,5 @@
 """Operator norms of Walsh multipliers on the finite step-function space.
+Every estimator reads its symbol through one ``MultiplierMatrix`` record.
 
 Exact paths:
 
@@ -24,7 +25,8 @@ matrix ``k[i ^ j]`` with ``k = K / 2**m``, commutes with every translation
 ``i -> i ^ h``, so the cell start ``e_h`` repeats the run from ``e_0``
 translated, and the start block holds ``e_0`` alone: 21 starts at m >= 2.
 
-Certified upper bounds (``certified_upper``, rounded up):
+Certified upper bounds (``certified_upper``, rounded up; one transform per
+record, shared by every regime, plus O(m) per regime):
 
 * Bonami-Beckner hypercontractivity (Bonami 1970; Beckner, Ann. Math. 102,
   1975).  The noise operator ``T_rho W_n = rho**|n| W_n``, ``|n|`` the
@@ -32,8 +34,11 @@ Certified upper bounds (``certified_upper``, rounded up):
   L^2 into L^q with norm 1 for ``rho <= 1 / sqrt(q - 1)``.  Factoring
   ``T_a = T_rho_out T_b T_rho_in`` through L^2 gives
   ``||T_a||_{p -> q} <= max_n |a_n| ((max(q, 2) - 1) / (min(p, 2) - 1))**(|n|/2)``
-  for ``1 < p <= inf``, ``1 <= q < inf``.  Complex inputs are covered:
-  ``T_rho`` has a nonnegative kernel, so ``|T_rho f| <= T_rho |f|``.  On
+  for ``1 < p <= inf``, ``1 <= q < inf``.  It is taken over the m + 1
+  popcount maxima ``M_j = max_{|n| = j} |a_n|``: multiplying by a positive
+  float is monotone, so that is the maximum over n bit for bit.  Complex
+  inputs are covered: ``T_rho`` has a nonnegative kernel, so
+  ``|T_rho f| <= T_rho |f|``.  On
   ``1/(n+1)`` at (1.5, 3), (1.5, 1.5) and (3, 3) the bound is 1, the norm,
   since ``n + 1 >= 2**|n|``.
 * ``||k||_1``, the (1, 1) and (inf, inf) norm, bounds every p -> p norm
@@ -46,7 +51,9 @@ loop ends once its best start has stopped and its ratio meets that bound to
 within ``tol``: the bracket is closed, and no other start can raise the
 value by more than ``tol``.  Above ``MAX_POWER_LEVELS`` no loop runs, and
 the lower end is the larger of ``sup |a_n|`` (the Walsh functions) and the
-ratio at the cell indicator ``e_0`` (one transform).
+ratio at the cell indicator ``e_0``, whose image is ``fwht(a) / N``: the
+transform the kernel bound reads too.  Above ``MAX_TRANSFORM_LEVELS`` these
+regimes are refused before any value is built.
 
 General matrix p-norms are NP-hard to certify; the ``kind`` tag is honest
 about which path produced a value.
@@ -63,7 +70,6 @@ from .dyadic import (
     MAX_TRANSFORM_LEVELS,
     Resolution,
     coeff_vector,
-    fwht,
     step_function,
     walsh_matrix,
     walsh_step,
@@ -77,7 +83,7 @@ from .metrics import (
     synthesis_exponent,
     synthesis_ratio,
 )
-from .multiplier import apply_diag
+from .multiplier import MultiplierMatrix, apply_diag
 from .symbols import ExplicitSymbol, Symbol, tail
 
 INF = math.inf
@@ -152,13 +158,10 @@ class ConstantProbe:
         if self.inequality == "multiplier_bound":
             if self.symbol is None:
                 raise ValueError("multiplier-bound probes need their symbol to recompute")
-            m = self.m
-            diag = self.symbol.values(1 << m)
-            w = 2.0**-m
-            out = apply_diag(diag, self.witness)
-            sup = float(np.abs(diag).max())
-            num = pnorm(out, self.p, w) / pnorm(self.witness, self.p, w)
-            return num / sup if sup > 0 else 0.0
+            op = MultiplierMatrix(self.symbol, Resolution(self.m))
+            w = 2.0**-self.m
+            num = pnorm(apply_diag(op.diag, self.witness), self.p, w) / pnorm(self.witness, self.p, w)
+            return num / op.sup if op.sup > 0 else 0.0
         raise ValueError(f"unknown inequality {self.inequality!r}")
 
 
@@ -227,13 +230,7 @@ def _dual_map_rows(v: np.ndarray, q: float) -> np.ndarray:
     return _dual_map(v, mags, mags / np.where(top > 0, top, 1.0), q)
 
 
-def _start_matrix(
-    diag: np.ndarray,
-    m: int,
-    random_starts: int,
-    seed: int,
-    extra_starts,
-) -> np.ndarray:
+def _start_matrix(op: MultiplierMatrix, random_starts: int, seed: int, extra_starts) -> np.ndarray:
     """Default multi-start block: all-ones, the cell vector ``e_0``, the Walsh
     functions with the largest |a_n|, then seeded random vectors.
 
@@ -243,11 +240,10 @@ def _start_matrix(
     row maxima and sums.  The run from ``e_h`` is the run from ``e_0``
     translated, with the same ratios up to summation-order rounding.
     """
-    dim = 1 << m
-    rows = [np.ones((1, dim))]
-    rows.append(np.eye(1, dim))
-    order = np.argsort(-np.abs(diag), kind="stable")[: min(_WALSH_STARTS, dim)]
-    rows.append(np.vstack([walsh_step(int(n), Resolution(m)).values.real for n in order]))
+    dim = op.resolution.dim
+    rows = [np.ones((1, dim)), np.eye(1, dim)]
+    order = np.argsort(-np.abs(op.diag), kind="stable")[: min(_WALSH_STARTS, dim)]
+    rows.append(np.vstack([walsh_step(int(n), op.resolution).values.real for n in order]))
     if random_starts > 0:
         rng = np.random.default_rng(seed)
         rows.append(
@@ -259,14 +255,13 @@ def _start_matrix(
     return np.vstack([r.astype(np.complex128) for r in rows])
 
 
-def _row_operators(diag: np.ndarray):
+def _row_operators(op: MultiplierMatrix):
     """The multiplier and its adjoint as maps on row batches of cell values.
 
     Both multiply by the symmetric kernel matrix ``M`` (``x @ M`` and
     ``x @ conj(M)``) through the Kronecker-factored Walsh transform, at
-    every m.  Split N = A B with
-    ``A = 2**floor(m/2)``, ``B = 2**ceil(m/2)``, cells as ``i = i_hi B + i_lo``
-    and Walsh indices as ``n = n_hi A + n_lo``.  Paley order reverses the
+    every m.  Split N = A B with ``A = 2**floor(m/2)``, ``B = 2**ceil(m/2)``,
+    cells as ``i = i_hi B + i_lo`` and Walsh indices as ``n = n_hi A + n_lo``.  Paley order reverses the
     bits of the cell, so ``W_n(i) = W^A_{n_lo}(i_hi) W^B_{n_hi}(i_lo)``
     exactly: the Paley matrix is ``K = H_A (x) H_B`` with its rows reordered,
     and ``M = K diag(d') K / N`` with ``d'[n_lo, n_hi] = diag[n_hi A + n_lo]``.
@@ -281,11 +276,10 @@ def _row_operators(diag: np.ndarray):
     product.  The adjoint uses ``conj(d')``.  Nothing of size N x N is held;
     at m = 12 the factors take 32 KiB each.
     """
-    dim = diag.shape[-1]
-    m = dim.bit_length() - 1
+    m, dim = op.resolution.m, op.resolution.dim
     a, b = 1 << (m // 2), 1 << (m - m // 2)
     h_a, h_b = (walsh_matrix(k).astype(np.float64) for k in (m // 2, m - m // 2))
-    scale = (diag / dim).reshape(b, a).T[:, :, None]
+    scale = (op.diag / dim).reshape(b, a).T[:, :, None]
 
     def product(d: np.ndarray):
         def apply(v: np.ndarray) -> np.ndarray:
@@ -304,8 +298,7 @@ def _row_operators(diag: np.ndarray):
 
 
 def _power_lower(
-    diag: np.ndarray,
-    m: int,
+    op: MultiplierMatrix,
     p_in: float,
     p_out: float,
     *,
@@ -337,6 +330,7 @@ def _power_lower(
     and the duality map (``_dual_map``), so the values are those of ``pnorm``
     and ``_dual_map_rows`` bit for bit.
     """
+    m = op.resolution.m
     if m > MAX_POWER_LEVELS:
         raise ValueError(
             f"power iteration limited to m <= {MAX_POWER_LEVELS}, got {m}: its "
@@ -344,11 +338,11 @@ def _power_lower(
         )
     w = 2.0**-m
     q_dual = dual_exponent(p_in)
-    forward, adjoint = _row_operators(diag)
-    upper = certified_upper(diag, m, p_in, p_out)
+    forward, adjoint = _row_operators(op)
+    upper = certified_upper(op, p_in, p_out)
     closes_at = upper * (1.0 - tol)
 
-    x = _start_matrix(diag, m, random_starts, seed, extra_starts)
+    x = _start_matrix(op, random_starts, seed, extra_starts)
     norms = pnorm(x, p_in, w)
     # Complex division by a real multiplies by its reciprocal, which
     # overflows for a subnormal norm: such a start is dropped like a zero one.
@@ -426,15 +420,11 @@ def _power_lower(
     )
 
 
-def _exact_norm(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float | None:
-    """The norm on the exact paths of the module docstring, else None."""
-    sup = float(np.abs(diag).max())
-    if p_in >= 2.0 >= p_out:
-        return sup
-    if p_in == 1.0 or p_out == INF:
-        r = p_out if p_in == 1.0 else dual_exponent(p_in)
-        return max(pnorm(fwht(diag), r, 2.0**-m), sup)
-    return None
+def _checked(p_in: float, p_out: float, tol: float) -> tuple[float, float]:
+    p_in, p_out = _check_exponent(p_in), _check_exponent(p_out)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return p_in, p_out
 
 
 def opnorm(
@@ -448,93 +438,61 @@ def opnorm(
 ) -> NormEstimate:
     """Norm of the multiplier on the 2**m-dimensional step-function space,
     measured from the L^{p_in} domain norm to the L^{p_out} range norm, as
-    the bracket ``[value, upper]``.
-
-    Paths:
-
-    * ``p_in >= 2 >= p_out``, (2, 2) included: exact, ``max |a_n|`` in closed
-      form, no iteration (see the module docstring for the two-line proof).
-    * ``p_in = 1`` or ``p_out = inf``: exact, ``||K||_{L^r}`` of the kernel
-      ``K = fwht(a)`` with ``r = p_out`` if ``p_in = 1``, else ``r = p_in'``
-      (the dual exponent), raised to ``max |a_n|`` if rounding left it below;
-      O(N log N) at every m.
-    * anything else at m <= ``MAX_POWER_LEVELS``: the iterative lower bound
-      of ``_power_lower``, with ``upper`` the ``certified_upper`` bound it
-      stops on.
-    * anything else at ``MAX_POWER_LEVELS < m <= MAX_TRANSFORM_LEVELS``: no
-      iteration; the lower bound is the larger of ``max |a_n|`` (``T W_n =
-      a_n W_n``) and ``||T e_0||_{p_out} / ||e_0||_{p_in}`` for the cell
-      indicator ``e_0``, whose image is ``fwht(a) / N`` (one transform), and
-      ``upper`` is ``certified_upper``.  Larger m is refused.
-
-    ``tol`` must be finite and nonnegative.
+    the bracket ``[value, upper]``, by the paths of the module docstring.
+    The exact paths answer at every m, the others up to
+    ``MAX_TRANSFORM_LEVELS``.  ``tol`` must be finite and nonnegative.
     """
-    p_in, p_out = _check_exponent(p_in), _check_exponent(p_out)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    m = res.m
-    diag = sym.values(res.dim)
-    exact = _exact_norm(diag, m, p_in, p_out)
-    if exact is not None:
+    p_in, p_out = _checked(p_in, p_out, tol)
+    return _bracket(MultiplierMatrix(sym, res), p_in, p_out, seed=seed, tol=tol)
+
+
+def _bracket(
+    op: MultiplierMatrix, p_in: float, p_out: float, *, seed: int = 0, tol: float = DEFAULT_TOL
+) -> NormEstimate:
+    """``opnorm`` of a record, for checked exponents and ``tol``.  The exact
+    paths of the module docstring come first; the others reach the record
+    only after the resolution checks."""
+    m = op.resolution.m
+    if p_in >= 2.0 >= p_out:
+        return NormEstimate(op.sup, EXACT, upper=op.sup)
+    if p_in == 1.0 or p_out == INF:
+        r = p_out if p_in == 1.0 else dual_exponent(p_in)
+        exact = max(pnorm(op.transform, r, 2.0**-m), op.sup)
         return NormEstimate(exact, EXACT, upper=exact)
     if m <= MAX_POWER_LEVELS:
-        return _power_lower(diag, m, p_in, p_out, seed=seed, tol=tol).estimate()
+        return _power_lower(op, p_in, p_out, seed=seed, tol=tol).estimate()
     if m > MAX_TRANSFORM_LEVELS:
         raise ValueError(f"norm brackets limited to m <= {MAX_TRANSFORM_LEVELS}, got {m}")
     w = 2.0**-m
-    at_cell = pnorm(fwht(diag), p_out, w) / res.dim / w ** (1.0 / p_in)
-    lower = max(float(np.abs(diag).max()), at_cell)
-    return NormEstimate(lower, LOWER, upper=certified_upper(diag, m, p_in, p_out))
+    at_cell = pnorm(op.transform, p_out, w) / op.resolution.dim / w ** (1.0 / p_in)
+    return NormEstimate(max(op.sup, at_cell), LOWER, upper=certified_upper(op, p_in, p_out))
 
 
-def kernel_l1_upper(diags: np.ndarray) -> np.ndarray:
-    """Row-wise ``||k||_1`` of the kernel ``k = fwht(diag) / N``, rounded up.
-
-    This is the exact (1, 1) norm of ``opnorm``, and an upper bound for
-    every p -> p norm.  The value is raised by its rounding bound
-    (``m sum|a_n| u`` in the butterfly, ``N ||k||_1 u`` in the sum,
-    ``sum|a_n| <= N ||k||_1``); otherwise a one-signed kernel, where
-    ``||k||_1 = sup|a_n|``, can land an ulp low.  Batched over leading
-    axes, each row bit for bit the row on its own.
-    """
-    dim = diags.shape[-1]
-    m = dim.bit_length() - 1
-    value = np.maximum(pnorm(fwht(diags), 1.0, 2.0**-m), np.abs(diags).max(axis=-1))
-    return value * (1.0 + (m + 4) * dim * _EPS)
-
-
-def certified_upper(diag: np.ndarray, m: int, p_in: float, p_out: float) -> float:
-    """Upper bound for the L^{p_in} -> L^{p_out} norm, rounded up.
-
-    The smaller of the hypercontractive bound of the module docstring (O(N);
-    infinite for ``p_in = 1`` or ``p_out = inf``) and, when ``p_out <= p_in``,
-    ``kernel_l1_upper`` (O(N log N)).  The hypercontractive bound is raised by
-    its rounding bound: ``max(q, 2) - 1``, the quotient, the square root, the
-    power (at most the m-th, one ulp) and ``|a_n|`` leave a relative error of
-    at most ``(m + 2.5) eps``.
-    """
+def certified_upper(op: MultiplierMatrix, p_in: float, p_out: float) -> float:
+    """Upper bound for the L^{p_in} -> L^{p_out} norm, rounded up: the smaller
+    of the hypercontractive bound of the module docstring, O(m) over the
+    popcount maxima (infinite for ``p_in = 1`` or ``p_out = inf``), and, when
+    ``p_out <= p_in``, the record's ``kernel_l1_upper``.  The former is
+    raised by its rounding bound: ``max(q, 2) - 1``, the quotient, the square
+    root, the power (at most the m-th, one ulp) and ``|a_n|`` leave a
+    relative error of at most ``(m + 2.5) eps``."""
+    m = op.resolution.m
     upper = INF
     if p_in > 1.0 and p_out < INF:
         growth = math.sqrt((max(p_out, 2.0) - 1.0) / (min(p_in, 2.0) - 1.0))
         weights = growth ** np.arange(m + 1, dtype=np.float64)
-        mags = np.abs(diag)
-        weighted = mags * weights[np.bitwise_count(np.arange(diag.shape[-1]))]
-        upper = float(np.max(weighted, where=mags > 0, initial=0.0)) * (1.0 + (m + 4) * _EPS)
+        tops = op.popcount_max
+        upper = float(np.max(tops * weights, where=tops > 0, initial=0.0)) * (1.0 + (m + 4) * _EPS)
     if p_out <= p_in:
-        upper = min(upper, float(kernel_l1_upper(diag)))
+        upper = min(upper, op.kernel_l1_upper)
     return float(upper)
 
 
 def tail_norm(
-    sym: Symbol,
-    cutoff: int,
-    res: Resolution,
-    p_in: float,
-    p_out: float,
-    **opts,
+    sym: Symbol, cutoff: int, res: Resolution, p_in: float, p_out: float, **opts
 ) -> tuple[NormEstimate, float]:
     """Norm of the truncation remainder (indices > cutoff) plus the analytic
-    reference ``sup_{cutoff < n < 2**m} |a_n|``.
+    reference ``sup_{cutoff < n < 2**m} |a_n|``, the remainder's ``sup``.
 
     In the (2, 2) and (p, 2) regimes the two coincide: the remainder norm is
     sandwiched between the Walsh-function witness at the largest remaining
@@ -542,10 +500,9 @@ def tail_norm(
     """
     if not 0 <= cutoff < res.dim:
         raise ValueError(f"cutoff {cutoff} out of range for m = {res.m}")
-    rest = tail(sym, cutoff)
-    vals = np.abs(sym.values(res.dim)[cutoff + 1 :])
-    analytic = float(vals.max()) if vals.size else 0.0
-    return opnorm(rest, res, p_in, p_out, **opts), analytic
+    p_in, p_out = _checked(p_in, p_out, opts.get("tol", DEFAULT_TOL))
+    op = MultiplierMatrix(tail(sym, cutoff), res)
+    return _bracket(op, p_in, p_out, **opts), op.sup
 
 
 @dataclass
@@ -567,25 +524,17 @@ class MultiplierBoundReport:
         return self.duality_gap <= 1e-6 * scale
 
 
-def _dual_witness(diag: np.ndarray, m: int, p: float, x: np.ndarray) -> np.ndarray:
+def _dual_witness(op: MultiplierMatrix, p: float, x: np.ndarray) -> np.ndarray:
     """Convert a domain witness for T into a start for the adjoint at p'.
 
     With y = T x, the duality-map image of y pairs with x at the achieved
     ratio, so the adjoint run starts at least as high (Hoelder equality)."""
-    y = apply_diag(diag, x)
-    u = _dual_map_rows(y[None, :], p)[0]
-    w = 2.0**-m
-    nu = pnorm(u, dual_exponent(p), w)
+    u = _dual_map_rows(apply_diag(op.diag, x)[None, :], p)[0]
+    nu = pnorm(u, dual_exponent(p), 2.0**-op.resolution.m)
     return u / nu if nu > 0 else u
 
 
-def multiplier_bound_check(
-    sym: Symbol,
-    res: Resolution,
-    p: float,
-    *,
-    seed: int = 0,
-) -> MultiplierBoundReport:
+def multiplier_bound_check(sym: Symbol, res: Resolution, p: float, *, seed: int = 0) -> MultiplierBoundReport:
     """Measure the p -> p lower bound, its ratio to sup |a_n|, and the
     adjoint symmetry: the conjugate symbol at the dual exponent must give the
     same norm.
@@ -598,29 +547,25 @@ def multiplier_bound_check(
     if not 1.0 < p < INF:
         raise ValueError(f"duality check needs 1 < p < inf, got {p}")
     q = dual_exponent(p)
-    m = res.m
-    dim = res.dim
-    diag = sym.values(dim)
-    conj_diag = np.conj(diag)
-    sup = float(np.abs(diag).max())
-
-    run_a = _power_lower(diag, m, p, p, seed=seed)
-    run_b = _power_lower(conj_diag, m, q, q, seed=seed + 1)
+    op = MultiplierMatrix(sym, res)
+    # The first run refuses m above MAX_POWER_LEVELS before reading a value.
+    run_a = _power_lower(op, p, p, seed=seed)
+    run_b = _power_lower(op.adjoint, q, q, seed=seed + 1)
 
     for _ in range(8):
         gap = abs(run_a.value - run_b.value)
         if gap <= DEFAULT_TOL * max(1.0, run_a.value, run_b.value):
             break
-        start_b = _dual_witness(diag, m, p, run_a.witness)
-        start_a = _dual_witness(conj_diag, m, q, run_b.witness)
-        run_b = _power_lower(conj_diag, m, q, q, seed=seed + 1, extra_starts=[start_b])
-        run_a = _power_lower(diag, m, p, p, seed=seed, extra_starts=[start_a])
+        start_b = _dual_witness(op, p, run_a.witness)
+        start_a = _dual_witness(op.adjoint, q, run_b.witness)
+        run_b = _power_lower(op.adjoint, q, q, seed=seed + 1, extra_starts=[start_b])
+        run_a = _power_lower(op, p, p, seed=seed, extra_starts=[start_a])
 
-    ratio = run_a.value / sup if sup > 0 else 0.0
+    ratio = run_a.value / op.sup if op.sup > 0 else 0.0
     probe = ConstantProbe(
         inequality="multiplier_bound",
         p=p,
-        m=m,
+        m=res.m,
         best_ratio=ratio,
         witness=run_a.witness,
         trials=run_a.starts,
@@ -629,10 +574,10 @@ def multiplier_bound_check(
     )
     return MultiplierBoundReport(
         p=p,
-        m=m,
+        m=res.m,
         estimate=run_a.estimate(),
         dual_estimate=run_b.estimate(),
-        sup=sup,
+        sup=op.sup,
         ratio=ratio,
         duality_gap=abs(run_a.value - run_b.value),
         probe=probe,

@@ -34,8 +34,8 @@ import numpy as np
 
 from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, walsh_step
 from .metrics import pnorm
-from .multiplier import apply_diag
-from .opnorm import NormEstimate, kernel_l1_upper, tail_norm
+from .multiplier import MultiplierMatrix, apply_diag
+from .opnorm import NormEstimate, tail_norm
 from .symbols import ResolventSymbol, Symbol
 
 INF = math.inf
@@ -93,7 +93,8 @@ class MembershipCertificate:
         """For a p != 2 resolvent shift the kernel bound ``||k_b||_1`` at
         resolution m (``k_b = fwht(b) / 2**m``, rounded up by its error
         bound), an upper bound on the p -> p norm of the inverse there (see
-        ``kernel_l1_upper``); None otherwise.  Computed on first read."""
+        ``MultiplierMatrix.kernel_l1_upper``); None otherwise.  Computed on
+        first read."""
         return self._bound()
 
 
@@ -187,14 +188,13 @@ def membership(sym: Symbol, query: SpectralQuery) -> MembershipCertificate:
     ``1/(a_n - lam)``, run on the first read of ``lp_upper``.  A spectrum
     shift gets the witnesses of a scan of the values, each gap read off it.
     """
-    dim = Resolution(query.m).dim
     lam = complex(query.lam)
     delta = sym.closure_distance(lam)
     if delta > query.tolerance:
         b = ResolventSymbol(sym, lam, delta)
         cert = MembershipCertificate(verdict=IN_RESOLVENT, lam=lam, p=query.p, delta=delta, resolvent=b)
         if query.p != 2.0:
-            cert._bound = lambda: float(kernel_l1_upper(b.values(dim)))
+            cert._bound = lambda: MultiplierMatrix(b, Resolution(query.m)).kernel_l1_upper
         return cert
 
     gaps = np.abs(sym.values(_WITNESS_SCAN) - lam)
@@ -276,7 +276,7 @@ def separation_distance(
     dim = res.dim
     if not (0 <= k < dim and 0 <= j < dim):
         raise ValueError(f"indices must be below 2**m = {dim}")
-    diag = sym.values(dim)
+    diag = MultiplierMatrix(sym, res).diag
     ak = complex(diag[k])
     aj = complex(diag[j])
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 from functools import partial, reduce
@@ -17,6 +18,7 @@ from walsh_lab import (
     MultiplierMatrix,
     ReciprocalSymbol,
     Resolution,
+    Symbol,
     UnitDiracSymbol,
     constant_probe,
     dual_exponent,
@@ -26,7 +28,7 @@ from walsh_lab import (
     resolvent_symbol,
     tail_norm,
 )
-from walsh_lab.dyadic import MAX_TRANSFORM_LEVELS
+from walsh_lab.dyadic import MAX_TRANSFORM_LEVELS, fwht
 from walsh_lab.multiplier import apply_diag, kernel_matrix
 from walsh_lab.metrics import pnorm
 from walsh_lab.opnorm import (
@@ -136,7 +138,7 @@ def test_kernel_product_matches_transform_pair(m, rows, zero_frac, seed):
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     diag[rng.random(dim) < zero_frac] = 0.0
     x = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-    forward, adjoint = _row_operators(diag)
+    forward, adjoint = _row_operators(MultiplierMatrix.from_diag(diag))
     for d, got in ((diag, forward(x)), (np.conj(diag), adjoint(x))):
         refs = [apply_diag(d, x)] + ([x @ kernel_matrix(d)] if m <= 8 else [])
         for ref in refs:
@@ -153,7 +155,7 @@ def test_row_operators_hold_no_dense_matrix():
     x = rng.standard_normal((21, dim)) + 1j * rng.standard_normal((21, dim))
     tracemalloc.start()
     try:
-        forward, adjoint = _row_operators(diag)
+        forward, adjoint = _row_operators(MultiplierMatrix.from_diag(diag))
         adjoint(forward(x))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -179,7 +181,8 @@ def test_norm_is_sup_when_p_in_at_least_2_at_least_p_out(m, p_in, p_out, seed):
     sup = float(np.abs(sym.values(dim)).max())
     est = opnorm(sym, Resolution(m), p_in, p_out, seed=seed % 1000)
     assert (est.kind, est.value, est.iterations) == ("exact", sup, 0)
-    run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
+    op = MultiplierMatrix(sym, Resolution(m))
+    run = _power_lower(op, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
     assert run.value <= sup * (1.0 + 1e-12)
 
 
@@ -193,7 +196,7 @@ def test_p2_power_loop_reaches_sup_and_never_exceeds_it(m, seed):
     dim = 1 << m
     diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     sup = float(np.abs(diag).max())
-    run = _power_lower(diag, m, 2.0, 2.0, seed=seed % 1000)
+    run = _power_lower(MultiplierMatrix.from_diag(diag), 2.0, 2.0, seed=seed % 1000)
     assert abs(run.value - sup) <= 1e-12 * sup
 
 
@@ -202,33 +205,59 @@ _SYMBOL_DRAWS = {
     "nonnegative": lambda rng, dim: rng.random(dim),
     "unimodular": lambda rng, dim: np.exp(2j * np.pi * rng.random(dim)),
     "noise": lambda rng, dim: rng.random() ** np.bitwise_count(np.arange(dim)),
+    "reciprocal": lambda rng, dim: ReciprocalSymbol().values(dim),
+    "alternating": lambda rng, dim: AlternatingSymbol().values(dim),
+    "geometric0.7": lambda rng, dim: GeometricSymbol(0.7).values(dim),
 }
+_EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF]
 
 
-@settings(max_examples=40, deadline=None)
+def _certified_upper_reference(diag, m, p_in, p_out):
+    """``certified_upper`` computed per n: the hypercontractive bound
+    maximized over every n, and the kernel bound from its own transform."""
+    eps = np.finfo(np.float64).eps
+    upper = INF
+    mags = np.abs(diag)
+    if p_in > 1.0 and p_out < INF:
+        growth = math.sqrt((max(p_out, 2.0) - 1.0) / (min(p_in, 2.0) - 1.0))
+        weights = growth ** np.arange(m + 1, dtype=np.float64)
+        weighted = mags * weights[np.bitwise_count(np.arange(diag.shape[-1]))]
+        upper = float(np.max(weighted, where=mags > 0, initial=0.0)) * (1.0 + (m + 4) * eps)
+    if p_out <= p_in:
+        kernel_l1 = np.maximum(pnorm(fwht(diag), 1.0, 2.0**-m), mags.max())
+        upper = min(upper, float(kernel_l1 * (1.0 + (m + 4) * diag.shape[-1] * eps)))
+    return float(upper)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(sorted(_SYMBOL_DRAWS)),
-    regime=st.sampled_from(
-        [(1.25, 1.75), (1.5, 1.5), (1.5, 3.0), (3.0, 3.0), (4.0, 6.0), (1.75, 1.25), (3.0, 1.5), (1.0, 3.0), (1.5, INF)]
-    ),
+    regime=st.sampled_from([(p, q) for p in _EXPONENTS for q in _EXPONENTS]),
     m=st.one_of(st.integers(0, 8), st.integers(MAX_POWER_LEVELS + 1, 16)),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(family="noise", regime=(1.5, 3.0), m=13, seed=0)
+@example(family="reciprocal", regime=(1.25, 1.0), m=8, seed=0)
+@example(family="geometric0.7", regime=(4.0, 3.0), m=14, seed=0)
 def test_certified_upper_bounds_the_power_loop(family, regime, m, seed):
     # Up to m = 8 a lower value comes from the power loop, above
     # MAX_POWER_LEVELS from sup|a_n| and the cell indicator e_0; both sit
-    # below the bracket's upper end up to rounding.
+    # below the bracket's upper end up to rounding.  The O(m) bound over the
+    # popcount maxima is the per-n maximum bit for bit.
     rng = np.random.default_rng(seed)
     dim = 1 << m
-    sym = ExplicitSymbol(_SYMBOL_DRAWS[family](rng, dim), "zero")
+    diag = np.asarray(_SYMBOL_DRAWS[family](rng, dim), dtype=np.complex128)
+    sym = ExplicitSymbol(diag, "zero")
     est = opnorm(sym, Resolution(m), *regime, seed=seed % 1000)
-    assert est.upper >= np.abs(sym.values(dim)).max()
+    assert est.upper >= np.abs(diag).max()
     assert est.value <= est.upper * (1.0 + 1e-12)
+    upper = certified_upper(MultiplierMatrix(sym, Resolution(m)), *regime)
+    assert repr(upper) == repr(_certified_upper_reference(diag, m, *regime))
     if est.kind == "exact":
         assert est.upper == est.value
     else:
         assert est.kind == "lower"
+        assert est.upper == upper
         assert (est.iterations == 0) == (m > MAX_POWER_LEVELS)
 
 
@@ -255,7 +284,7 @@ def test_reciprocal_bracket_closes_after_two_steps(regime, seed):
     est = opnorm(ReciprocalSymbol(), res, *regime, seed=seed)
     assert (est.value, est.iterations, est.converged) == (1.0, 2, True)
     assert est.upper == pytest.approx(1.0, rel=1e-14)
-    run = _power_lower(ReciprocalSymbol().values(res.dim), 8, *regime, seed=seed, want_history=True)
+    run = _power_lower(MultiplierMatrix(ReciprocalSymbol(), res), *regime, seed=seed, want_history=True)
     assert max(len(hist) for hist in run.histories) <= 2
 
 
@@ -287,7 +316,8 @@ def test_l1_domain_and_sup_range_norms_are_dense_column_and_row_norms(m, other, 
     est = opnorm(sym, Resolution(m), p_in, p_out, seed=seed % 1000)
     assert (est.kind, est.iterations) == ("exact", 0)
     assert abs(est.value - want) <= 1e-13 * want
-    run = _power_lower(sym.values(dim), m, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
+    op = MultiplierMatrix(sym, Resolution(m))
+    run = _power_lower(op, p_in, p_out, seed=seed % 1000, random_starts=4, max_iter=100)
     assert run.value <= est.value * (1.0 + 1e-12)
 
 
@@ -306,9 +336,8 @@ def test_exact_values_agree_across_paths():
 def test_power_iteration_refuses_memory_heavy_resolutions():
     # The loop itself stays capped; opnorm answers above the cap with the
     # bracket's one-transform lower end and refuses only past the transforms.
-    diag = ReciprocalSymbol().values(1 << 13)
     with pytest.raises(ValueError, match="m <= 12"):
-        _power_lower(diag, 13, 1.5, 1.5)
+        _power_lower(MultiplierMatrix(ReciprocalSymbol(), Resolution(13)), 1.5, 1.5)
     est = opnorm(ReciprocalSymbol(), Resolution(13), 1.5, 1.5)
     assert (est.kind, est.value, est.iterations, est.starts) == ("lower", 1.0, 0, 0)
     assert 1.0 <= est.upper <= 1.0 + 1e-12
@@ -316,6 +345,69 @@ def test_power_iteration_refuses_memory_heavy_resolutions():
     assert (est.kind, est.iterations) == ("exact", 0)
     with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}"):
         opnorm(ReciprocalSymbol(), Resolution(MAX_TRANSFORM_LEVELS + 1), 1.5, 3.0)
+
+
+class _UnreadableSymbol(Symbol):
+    family = "unreadable"
+
+    def _range(self, start, stop):
+        raise AssertionError(f"read values {start}..{stop}")
+
+
+@pytest.mark.parametrize("m", [MAX_TRANSFORM_LEVELS + 1, 23, 26])
+@pytest.mark.parametrize("regime", [(1.5, 3.0), (1.5, 1.5), (3.0, 4.0)])
+def test_opnorm_refuses_above_the_transforms_before_reading_values(m, regime):
+    # At m = 26 the values alone would take 1 GiB.
+    with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}, got {m}"):
+        opnorm(_UnreadableSymbol(), Resolution(m), *regime)
+    with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}, got {m}"):
+        tail_norm(_UnreadableSymbol(), 3, Resolution(m), *regime)
+
+
+@pytest.mark.parametrize("m", [MAX_POWER_LEVELS + 1, 22, 26])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_bound_check_refuses_above_the_power_loop_before_reading_values(m, p):
+    with pytest.raises(ValueError, match=f"power iteration limited to m <= {MAX_POWER_LEVELS}, got {m}"):
+        multiplier_bound_check(_UnreadableSymbol(), Resolution(m), p)
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Counts ``fwht`` calls made from any walsh_lab module."""
+    calls = []
+
+    def counting(values, *args, **kwargs):
+        calls.append(np.shape(values))
+        return fwht(values, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "walsh_lab" and hasattr(mod, "fwht"):
+            monkeypatch.setattr(mod, "fwht", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [14, 20])
+def test_opnorm_runs_one_transform_per_record(transform_count, m):
+    # The lower end at e_0 and the kernel bound read the same transform.
+    est = opnorm(ReciprocalSymbol(), Resolution(m), 1.5, 1.5)
+    assert (est.kind, est.value) == ("lower", 1.0)
+    assert transform_count == [(1 << m,)]
+
+
+@pytest.mark.parametrize("regime", [(2.0, 2.0), (1.5, 3.0), (1.0, 1.0), (1.5, 1.5)])
+def test_tail_norm_reads_the_base_values_once(monkeypatch, regime):
+    # The analytic sup is the remainder record's own, not a second read.
+    reads = []
+    base_range = ReciprocalSymbol._range
+
+    def counting(self, start, stop):
+        reads.append((start, stop))
+        return base_range(self, start, stop)
+
+    monkeypatch.setattr(ReciprocalSymbol, "_range", counting)
+    est, analytic = tail_norm(ReciprocalSymbol(), 3, Resolution(8), *regime)
+    assert reads == [(0, 256)]
+    assert analytic == 0.2 and est.value >= analytic
 
 
 def test_alternating_lower_end_is_the_norm_at_m20():
@@ -340,7 +432,7 @@ def test_power_iteration_ratios_never_decrease():
     rng = np.random.default_rng(2)
     for k in range(5):
         diag = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        run = _power_lower(diag, 6, 1.5, 1.5, seed=k, want_history=True)
+        run = _power_lower(MultiplierMatrix.from_diag(diag), 1.5, 1.5, seed=k, want_history=True)
         for hist in run.histories:
             assert all(b >= a - 1e-12 * (1 + abs(b)) for a, b in zip(hist, hist[1:]))
 
@@ -367,9 +459,10 @@ def _reference_power_lower(diag, m, p_in, p_out, *, seed, extra_starts, max_iter
 
     w = 2.0**-m
     tol = DEFAULT_TOL
-    forward, adjoint = opnorm_module._row_operators(diag)
-    closes_at = certified_upper(diag, m, p_in, p_out) * (1.0 - tol)
-    x = opnorm_module._start_matrix(diag, m, DEFAULT_RANDOM_STARTS, seed, extra_starts)
+    op = MultiplierMatrix.from_diag(diag)
+    forward, adjoint = opnorm_module._row_operators(op)
+    closes_at = certified_upper(op, p_in, p_out) * (1.0 - tol)
+    x = opnorm_module._start_matrix(op, DEFAULT_RANDOM_STARTS, seed, extra_starts)
     norms = pnorm(x, p_in, w)
     keep = norms >= np.finfo(np.float64).tiny
     x = x[keep] / norms[keep][:, None]
@@ -451,7 +544,9 @@ def test_fused_step_matches_reference_loop_bit_for_bit(family, regime, m, seed):
     extra = [np.zeros(dim), np.full(dim, 1e-310), some_subnormal]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = _power_lower(diag, m, *regime, seed=seed % 1000, extra_starts=extra, want_history=True)
+        run = _power_lower(
+            MultiplierMatrix.from_diag(diag), *regime, seed=seed % 1000, extra_starts=extra, want_history=True
+        )
         ref = _reference_power_lower(diag, m, *regime, seed=seed % 1000, extra_starts=extra)
     value, witness, iterations, residual, converged, histories, starts = ref
     assert math.isfinite(run.value) and run.starts == starts
@@ -520,7 +615,7 @@ def test_cell_translates_run_the_same_trajectory(family, regime, m, h, seed):
     diag = _TRANSLATION_FAMILIES[family](m, seed).values(dim)
     cells = np.eye(dim)
     run = _power_lower(
-        diag, m, *regime,
+        MultiplierMatrix.from_diag(diag), *regime,
         random_starts=0, max_iter=100, extra_starts=[cells[0], cells[h % dim]], want_history=True,
     )
     ref, moved = run.histories[-2:]
@@ -537,7 +632,7 @@ def test_default_block_holds_one_cell_start():
 def test_stop_at_max_iter_is_reported(monkeypatch):
     res = Resolution(8)
     sym = ReciprocalSymbol()
-    assert _power_lower(sym.values(res.dim), 8, 1.5, 3.0, max_iter=1).converged is False
+    assert _power_lower(MultiplierMatrix(sym, res), 1.5, 3.0, max_iter=1).converged is False
     est = opnorm(sym, res, 1.5, 3.0)
     assert (est.kind, est.converged) == ("lower", True)
     for p_in, p_out in ((2.0, 2.0), (3.0, 1.5), (1.0, 3.0), (1.5, INF), (1.0, 1.0)):
@@ -633,7 +728,7 @@ def test_duality_symmetry_random_symbols():
         # Each side carries the bound its own power loop stopped on.
         diag = sym.values(64)
         for est, d, p in ((report.estimate, diag, 1.5), (report.dual_estimate, np.conj(diag), 3.0)):
-            assert est.upper == certified_upper(d, 6, p, p)
+            assert est.upper == certified_upper(MultiplierMatrix.from_diag(d), p, p)
             assert est.value <= est.upper * (1.0 + 1e-12)
 
 
@@ -732,7 +827,7 @@ def test_probe_at_p2_runs_no_screen(monkeypatch, m, trials, seed):
     # screen, no draw and no transform; only recompute() rates the witness.
     with monkeypatch.context() as patched:
         patched.setattr(np.random, "default_rng", _no_draws)
-        for name in ("walsh_lab.metrics", "walsh_lab.opnorm"):
+        for name in ("walsh_lab.metrics", "walsh_lab.multiplier"):
             patched.setattr(importlib.import_module(name), "fwht", _no_transform)
         probe = constant_probe("hy", 2.0, Resolution(m), trials=trials, seed=seed)
     assert probe.best_ratio == probe.recompute() == 1.0

@@ -50,7 +50,7 @@ from walsh_lab.spectral import (
 )
 
 _EPS = np.finfo(np.float64).eps
-_OPNORM = importlib.import_module("walsh_lab.opnorm")
+_MULTIPLIER = importlib.import_module("walsh_lab.multiplier")
 
 
 def test_point_spectrum_constant():
@@ -535,15 +535,15 @@ def _no_transform(values, *args, **kwargs):
 
 
 @contextlib.contextmanager
-def _transforms(opnorm_fwht):
-    """``fwht`` raises in every walsh_lab module but ``opnorm``, the home
-    of ``kernel_l1_upper``, where it is ``opnorm_fwht``."""
+def _transforms(record_fwht):
+    """``fwht`` raises in every walsh_lab module but ``multiplier``, the
+    home of ``MultiplierMatrix.kernel_l1_upper``, where it is ``record_fwht``."""
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "walsh_lab"]
     with contextlib.ExitStack() as stack:
         for mod in modules:
             if hasattr(mod, "fwht"):
                 stack.enter_context(mock.patch.object(mod, "fwht", _no_transform))
-        stack.enter_context(mock.patch.object(_OPNORM, "fwht", opnorm_fwht))
+        stack.enter_context(mock.patch.object(_MULTIPLIER, "fwht", record_fwht))
         yield
 
 
