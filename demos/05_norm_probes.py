@@ -4,8 +4,9 @@ Exact norms where the structure allows (p_in >= 2 >= p_out, where the norm
 is sup|a_n|, and an L^1 domain or L^inf range, where it is an L^r norm of the
 dyadic convolution kernel K = fwht(a)), ascent lower bounds elsewhere, a
 certified upper bound (hypercontractive, or ||k||_1 with k = K / 2**m when
-p_out <= p_in), adjoint symmetry, and the exact analysis/synthesis
-constants with their witnesses.  The analysis constant is 1: |f_hat(n)| <=
+p_out <= p_in), products of two-point norms for the product symbols,
+adjoint symmetry, and the exact analysis/synthesis constants with their
+witnesses.  The analysis constant is 1: |f_hat(n)| <=
 ||f||_1 and Parseval give 1 at p = 1 and p = 2, Riesz-Thorin at most 1 in
 between, and W_0 attains it.  The synthesis constant is N**(1/p - 1/2),
 N = 2**m: ||g||_p <= ||g||_2 = ||c||_2 <= N**(1/p - 1/2) ||c||_p' (monotonicity,
@@ -17,6 +18,7 @@ import numpy as np
 
 from walsh_lab import (
     AlternatingSymbol,
+    GeometricSymbol,
     ReciprocalSymbol,
     Resolution,
     constant_probe,
@@ -62,8 +64,11 @@ for p in (1.0, 1.5, 2.0, 4.0, np.inf):
     est = opnorm(AlternatingSymbol(), res, p, p)
     print(f"  p={p}: {est.value:.9f}  [{est.kind}]")
 
-print("\nAbove m=12 no power loop runs; the bracket's lower end is max(sup|a_n|, ratio at e_0):")
+print("\nProduct symbols at p <= q: the product of m two-point norms, no power loop:")
 for m in (13, 20):
     est = opnorm(AlternatingSymbol(), Resolution(m), 1.5, 3.0)
-    print(f"  m={m}: [{est.value:.9f}, {est.upper:.9f}]  [{est.kind}, {est.iterations} iters],"
+    print(f"  (-1)**n, m={m}: [{est.value:.9f}, {est.upper:.9f}]  [{est.kind}, {est.iterations} iters],"
           f" norm N**(1/3) = {2 ** (m / 3):.9f}")
+for m in (8, 20):
+    est = opnorm(GeometricSymbol(0.9), Resolution(m), 1.5, 3.0)
+    print(f"  0.9**n, m={m}: [{est.value:.12f}, {est.upper:.9f}]  [{est.kind}, {est.iterations} iters]")

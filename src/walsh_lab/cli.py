@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import MAX_TRANSFORM_LEVELS, Resolution
 from .multiplier import MultiplierMatrix
-from .opnorm import constant_probe, opnorm
+from .opnorm import _bracket, _checked, constant_probe
 from .spectral import SpectralQuery, compactness_report, membership
 from .symbols import Symbol, symbol_from_json
 from .verify import SUITES, run_suite
@@ -175,12 +175,20 @@ def _sweep_tail_decay(args) -> tuple[list[dict], list[str]]:
 def _sweep_opnorm(args) -> tuple[list[dict], list[str]]:
     sym = _load_symbol(args.symbol)
     res = Resolution(args.m)
-    pairs = [(pi, po) for pi in _parse_exponent_list(args.p_in) for po in _parse_exponent_list(args.p_out)]
-    diag_sup = MultiplierMatrix(sym, res).sup
+    pairs = [
+        _checked(pi, po, args.tol) for pi in _parse_exponent_list(args.p_in) for po in _parse_exponent_list(args.p_out)
+    ]
+    # One record serves every pair.  Its fields are read here, before any
+    # thread starts: ``cached_property`` takes no lock on Python >= 3.12, so
+    # the pool's first rows would each derive them.
+    op = MultiplierMatrix(sym, res)
+    diag_sup = op.sup
+    if args.threads > 1:
+        _ = op.transform, op.popcount_max, op.kernel_l1_upper
 
     def row_for(pair):
         pi, po = pair
-        est = opnorm(sym, res, pi, po, seed=args.seed, tol=args.tol)
+        est = _bracket(op, pi, po, seed=args.seed, tol=args.tol)
         return {
             "family": sym.family,
             "m": args.m,

@@ -14,6 +14,10 @@ defines:
   of ``{a_n : n >= start}``, exact or a certified lower bound;
 * ``is_c0``         -- whether ``a_n -> 0``.
 
+A family whose values are a product over the binary digits ``n_k`` of n,
+``a_n = prod_k c_k(n_k)`` for every n < 2**m, also returns the m digit pairs
+``(c_k(0), c_k(1))`` from ``factors(m)``; ``opnorm`` reads its norms from them.
+
 Arbitrary user data enters as :class:`ExplicitSymbol` with a declared tail
 (zero or a constant).  Symbols are immutable and safe to share.
 """
@@ -100,6 +104,12 @@ class Symbol:
         """sup_n |value(n)| (finite for every admissible symbol)."""
         return self.tail_sup(-1)
 
+    def factors(self, m: int) -> list[tuple[complex, complex]] | None:
+        """The digit pairs ``(c_k(0), c_k(1))``, k < m, with
+        ``a_n = prod_k c_k(n_k)`` for every n < 2**m, or None where the family
+        has no such form (``a_0 = 1`` at m = 0, the empty product)."""
+        return None
+
 
 def _check_cutoff(cutoff: int) -> int:
     if cutoff < -1:
@@ -130,6 +140,12 @@ class ConstantSymbol(Symbol):
 
     def _closure_distance(self, lam: complex, start: int) -> float:
         return abs(lam - self.c)
+
+    def factors(self, m: int) -> list[tuple[complex, complex]] | None:
+        c = complex(self.c)
+        if m == 0:
+            return [] if c == 1 else None
+        return [(c, c)] + [(1.0, 1.0)] * (m - 1)
 
     def _accumulation_points(self):
         return [complex(self.c)]
@@ -168,6 +184,12 @@ class UnitDiracSymbol(Symbol):
         if self.n0 >= start:
             d = min(d, abs(lam - 1.0))
         return d
+
+    def factors(self, m: int) -> list[tuple[complex, complex]] | None:
+        if self.n0 >> m:
+            # The zero symbol below 2**m.
+            return [(0.0, 0.0)] + [(1.0, 1.0)] * (m - 1) if m else None
+        return [(0.0, 1.0) if self.n0 >> k & 1 else (1.0, 0.0) for k in range(m)]
 
     def _accumulation_points(self):
         return [0.0 + 0.0j]
@@ -233,6 +255,9 @@ class AlternatingSymbol(Symbol):
         # Both parities occur beyond every start index.
         return min(abs(lam - 1.0), abs(lam + 1.0))
 
+    def factors(self, m: int) -> list[tuple[complex, complex]]:
+        return [(1.0, -1.0)] + [(1.0, 1.0)] * (m - 1) if m else []
+
     def _accumulation_points(self):
         return [1.0 + 0.0j, -1.0 + 0.0j]
 
@@ -274,6 +299,13 @@ class GeometricSymbol(Symbol):
         if self._on_circle:
             return 1.0
         return abs(self.r) ** (cutoff + 1)
+
+    def factors(self, m: int) -> list[tuple[complex, complex]]:
+        # r**n = prod_k (r**(2**k))**n_k.  A real r keeps real powers: a
+        # complex power of a negative real picks up a rounded imaginary part.
+        r = complex(self.r)
+        base = r.real if r.imag == 0 else r
+        return [(1.0, base ** (1 << k)) for k in range(m)]
 
     @property
     def is_c0(self) -> bool:

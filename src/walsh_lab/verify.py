@@ -15,7 +15,7 @@ import numpy as np
 from . import dyadic, multiplier, spectral
 from .dyadic import Resolution, StepFunction, analysis, coeff_vector, fwht, walsh_step
 from .metrics import hy_ratio, lp_norm, lq_norm, synthesis_ratio, walsh_distance
-from .opnorm import DEFAULT_TOL, opnorm
+from .opnorm import DEFAULT_TOL, _power_lower, certified_upper, opnorm
 from .symbols import (
     AlternatingSymbol,
     ConstantSymbol,
@@ -225,19 +225,34 @@ def multiplier_checks(seed: int = 0) -> list[CheckResult]:
     gap = np.abs(both - multiplier.apply(rec, f8).values).max()
     out.append(CheckResult("truncation + tail = identity decomposition", gap < 1e-12, f"max err = {gap:.2e}"))
 
+    # The loop is run directly: opnorm answers the product families and the
+    # closed brackets without it.
     worst = 0.0
     closed = cases = 0
     for sym2 in _family_zoo():
+        op = multiplier.MultiplierMatrix(sym2, res6)
         for p_in, p_out in ((1.5, 3.0), (1.5, 1.5), (3.0, 3.0), (1.25, 1.75)):
-            est = opnorm(sym2, res6, p_in, p_out, seed=seed)
-            worst = max(worst, est.value / est.upper)
-            closed += est.value >= est.upper * (1.0 - DEFAULT_TOL)
+            lower = _power_lower(op, p_in, p_out, seed=seed).value
+            upper = certified_upper(op, p_in, p_out)
+            worst = max(worst, lower / upper)
+            closed += lower >= upper * (1.0 - DEFAULT_TOL)
             cases += 1
     out.append(
         CheckResult(
             "hypercontractive upper >= power-loop lower (m=6)",
             worst <= 1.0,
             f"max lower/upper = {worst:.16f}, {closed} of {cases} brackets closed",
+        )
+    )
+
+    worst = 0.0
+    for sym2 in (GeometricSymbol(0.7), AlternatingSymbol()):
+        product = opnorm(sym2, res6, 1.5, 3.0).value
+        run = _power_lower(multiplier.MultiplierMatrix(sym2, res6), 1.5, 3.0, seed=seed)
+        worst = max(worst, abs(product - run.value) / product)
+    out.append(
+        CheckResult(
+            "product of two-point norms = power-loop lower (m=6, (1.5, 3))", worst <= 1e-8, f"max rel gap = {worst:.2e}"
         )
     )
     return out

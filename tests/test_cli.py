@@ -92,6 +92,42 @@ def test_opnorm_sweep_threads_byte_identical(capsys):
     assert len(one.splitlines()) == 6
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_opnorm_sweep_reads_the_values_once(capsys, monkeypatch, threads):
+    # One record serves every pair, and its values are read before the pool
+    # starts; the rows match the single-threaded run byte for byte.
+    args = ["sweep", "opnorm", "--m", "8", "--p-in", "1.5,3", "--p-out", "1.5,3", "--seed", "3"]
+    _, want, _ = run_cli(capsys, *args, "--threads", "1")
+    reads = []
+    base_range = ReciprocalSymbol._range
+
+    def counting(self, start, stop):
+        reads.append((start, stop))
+        return base_range(self, start, stop)
+
+    monkeypatch.setattr(ReciprocalSymbol, "_range", counting)
+    code, out, _ = run_cli(capsys, *args, "--threads", threads)
+    assert code == 0 and out == want
+    assert reads == [(0, 256)]
+    # The closed reciprocal brackets run no power step.
+    assert [row.split(",")[6:9] for row in out.splitlines()[2:]] == [
+        ["lower", "1.0", "0"], ["lower", "1.0", "0"], ["exact", "1.0", "0"], ["lower", "1.0", "0"]
+    ]
+
+
+def test_geometric_product_row_at_m20(capsys):
+    # The product of two-point norms at every m <= 20, where the power loop
+    # does not run; the power lower at m = 12 is 1.438221998068.
+    code, out, _ = run_cli(
+        capsys, "sweep", "opnorm", "--symbol", '{"family": "geometric", "r": 0.9}', "--m", "20",
+        "--p-in", "1.5", "--p-out", "3",
+    )
+    assert code == 0
+    fields = out.splitlines()[2].split(",")
+    assert float(fields[5]) >= 1.4382219980
+    assert fields[6:9] == ["lower", "1.0", "0"]
+
+
 @pytest.mark.parametrize("threads", ["2", "4"])
 def test_spectrum_grid_threads_compute_bound_constant_once(capsys, monkeypatch, threads):
     # The p != 2 resolvent bound is the kernel norm of the inverse symbol, so
@@ -207,14 +243,14 @@ def test_tail_decay_endpoint_sweep_beyond_dense_resolutions(capsys):
 
 
 def test_opnorm_and_tail_decay_sweeps_answer_above_m12(capsys):
-    # Above the power loop's cap a non-exact regime prints the bracket's
-    # lower end, with no iteration; for alternating that is N**(1/p - 1/q).
+    # Above the power loop's cap the alternating symbol's product path
+    # prints N**(1/p - 1/q), exact, with no iteration.
     code, out, _ = run_cli(
         capsys, "sweep", "opnorm", "--symbol", "alternating", "--m", "13", "--p-in", "1.5", "--p-out", "3",
     )
     assert code == 0
     fields = out.splitlines()[2].split(",")
-    assert fields[6:9] == ["lower", "1.0", "0"]
+    assert fields[6:9] == ["exact", "1.0", "0"]
     assert float(fields[5]) == pytest.approx(2 ** (13 / 3), rel=1e-12)
     code, out, _ = run_cli(capsys, "sweep", "tail-decay", "--m", "14", "--p-in", "1.5", "--p-out", "1.5")
     assert code == 0

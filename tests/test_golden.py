@@ -45,12 +45,12 @@ GOLDEN = {
         ["tail-decay", "--symbol", "reciprocal", "--m", "10", "--p-in", "1", "--p-out", "1"],
         "23e0c8ceec9da27eaca7f5295bff45c8548a38b1331365e62aeaa6bd3197ace0",
     ),
-    # Above MAX_POWER_LEVELS: the exact kernel rows and the one-transform
-    # lower ends with their certified upper bounds, at m = 16.
+    # Above MAX_POWER_LEVELS: the exact kernel rows and, for p_in <= p_out,
+    # the exact products of two-point norms, at m = 16.
     "opnorm-alternating-m16": (
         ["opnorm", "--symbol", "alternating", "--m", "16", "--p-in", "1,1.5,3",
          "--p-out", "1.5,3,inf"],
-        "49487bc8297b5bbd30f4c15b9613aed3d4910b2637a7ea032a808e51c86a9f9b",
+        "8232bbc84718f4407d1ea0c9b2182ddbf21f2c5f1d3071bf690242e8ef8dacba",
     ),
     # Tail norms and their analytic sups above MAX_POWER_LEVELS.
     "tail-decay-alternating-m14": (

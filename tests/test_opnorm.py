@@ -39,6 +39,7 @@ from walsh_lab.opnorm import (
     _power_lower,
     _row_operators,
     certified_upper,
+    two_point_norm,
 )
 
 opnorm_module = importlib.import_module("walsh_lab.opnorm")
@@ -256,33 +257,39 @@ def test_certified_upper_bounds_the_power_loop(family, regime, m, seed):
     if est.kind == "exact":
         assert est.upper == est.value
     else:
+        # A bracket closed at sup|a_n| runs no loop, at m <= MAX_POWER_LEVELS too.
+        closed = np.abs(diag).max() >= upper * (1.0 - DEFAULT_TOL)
         assert est.kind == "lower"
         assert est.upper == upper
-        assert (est.iterations == 0) == (m > MAX_POWER_LEVELS)
+        assert (est.iterations == 0) == (m > MAX_POWER_LEVELS or closed)
+        if closed and m <= MAX_POWER_LEVELS:
+            assert est.value == np.abs(diag).max()
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.25, 5.0), (1.1, 2.0), (2.0, 4.0)])
 def test_bonami_noise_symbol_closes_at_one(p, q):
     # a_n = rho**|n| at rho = sqrt((p - 1) / (q - 1)) is the noise operator at
     # the Bonami-Beckner critical ratio: its norm is 1, reached by constants,
-    # and the hypercontractive bound is 1 too, so the bracket closes.
+    # and the hypercontractive bound is 1 too, so the bracket is closed at
+    # sup|a_n| = 1 before any power step.
     res = Resolution(8)
     rho = math.sqrt((min(p, 2.0) - 1.0) / (max(q, 2.0) - 1.0))
     sym = ExplicitSymbol(rho ** np.bitwise_count(np.arange(res.dim)), "zero")
     est = opnorm(sym, res, p, q)
-    assert (est.kind, est.iterations, est.converged) == ("lower", 2, True)
+    assert (est.kind, est.iterations, est.converged) == ("lower", 0, True)
     assert 1.0 - 1e-15 <= est.value <= est.upper <= 1.0 + 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("regime", [(1.5, 3.0), (1.5, 1.5), (3.0, 3.0)])
 def test_reciprocal_bracket_closes_after_two_steps(regime, seed):
-    # max 2**|n| / (n + 1) = 1 is the hypercontractive bound and the norm.
-    # All-ones reaches it at step 0 and stops on tol at step 1, which ends the
-    # loop; the other starts would creep toward 1 for all max_iter steps.
+    # max 2**|n| / (n + 1) = 1 is the hypercontractive bound and the norm,
+    # and sup|a_n| = 1 meets it, so opnorm runs no step.  The loop itself:
+    # all-ones reaches 1 at step 0 and stops on tol at step 1, which ends
+    # it; the other starts would creep toward 1 for all max_iter steps.
     res = Resolution(8)
     est = opnorm(ReciprocalSymbol(), res, *regime, seed=seed)
-    assert (est.value, est.iterations, est.converged) == (1.0, 2, True)
+    assert (est.value, est.iterations, est.converged) == (1.0, 0, True)
     assert est.upper == pytest.approx(1.0, rel=1e-14)
     run = _power_lower(MultiplierMatrix(ReciprocalSymbol(), res), *regime, seed=seed, want_history=True)
     assert max(len(hist) for hist in run.histories) <= 2
@@ -355,9 +362,10 @@ class _UnreadableSymbol(Symbol):
 
 
 @pytest.mark.parametrize("m", [MAX_TRANSFORM_LEVELS + 1, 23, 26])
-@pytest.mark.parametrize("regime", [(1.5, 3.0), (1.5, 1.5), (3.0, 4.0)])
+@pytest.mark.parametrize("regime", [(1.5, 3.0), (1.5, 1.5), (3.0, 4.0), (1.0, 1.0), (1.5, INF)])
 def test_opnorm_refuses_above_the_transforms_before_reading_values(m, regime):
-    # At m = 26 the values alone would take 1 GiB.
+    # At m = 26 the values alone would take 1 GiB; the exact kernel path
+    # would transform them too.
     with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}, got {m}"):
         opnorm(_UnreadableSymbol(), Resolution(m), *regime)
     with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}, got {m}"):
@@ -411,21 +419,176 @@ def test_tail_norm_reads_the_base_values_once(monkeypatch, regime):
 
 
 def test_alternating_lower_end_is_the_norm_at_m20():
-    # The alternating kernel is a point mass, so T e_0 is a translated cell
-    # indicator and the ratio at e_0 is N**(1/p - 1/q), the norm itself.
+    # (-1)**n is the product of the swap (1, -1) and 19 identities (1, 1),
+    # each of norm 2**(1/p - 1/q) on the two-point space: the product path
+    # gives N**(1/p - 1/q), exact, from no value of the symbol.
     est = opnorm(AlternatingSymbol(), Resolution(20), 1.5, 3.0)
-    assert (est.kind, est.iterations, est.starts) == ("lower", 0, 0)
-    assert est.value == pytest.approx(2 ** (20 / 3), rel=1e-12)
-    assert est.value <= est.upper
+    assert (est.kind, est.iterations, est.starts) == ("exact", 0, 0)
+    assert est.value == pytest.approx(2 ** (20 / 3), rel=1e-14)
+    assert est.value == est.upper
+
+
+class _DigitProductSymbol(Symbol):
+    """``a_n = prod_k c_k(n_k)`` from given digit pairs, which it returns as
+    its factors at m = len(pairs)."""
+
+    family = "digit-product"
+
+    def __init__(self, pairs):
+        self.pairs = [(complex(c0), complex(c1)) for c0, c1 in pairs]
+        diag = np.ones(1, dtype=np.complex128)
+        for c0, c1 in self.pairs:
+            diag = np.concatenate([diag * c0, diag * c1])
+        self.diag = diag
+
+    def _range(self, start, stop):
+        return self.diag[start:stop].copy()
+
+    def factors(self, m):
+        return self.pairs if m == len(self.pairs) else None
+
+
+def _product_norm(pairs, p, q):
+    value = 1.0
+    for c0, c1 in pairs:
+        value *= two_point_norm(c0, c1, p, q)[0]
+    return value
+
+
+# (c0, rho) with |rho| <= 1; zero scales and the closed-form ratios included.
+_real_pairs = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05)),
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-1.0, 1.0)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    pairs=_real_pairs,
+    regime=st.sampled_from([(p, q) for p in _EXPONENTS for q in _EXPONENTS if p <= q]),
+    seed=st.integers(0, 999),
+)
+@example(pairs=[(1.0, 0.9), (1.0, 0.81), (1.0, 0.6561)], regime=(1.5, 3.0), seed=0)
+@example(pairs=[(-1.5, -0.7)] * 4, regime=(1.25, 4.0), seed=0)
+def test_product_norm_lies_between_the_power_loop_and_the_upper_bound(pairs, regime, seed):
+    # Beckner's product theorem: for p <= q the norm of the tensor product is
+    # the product of the two-point norms.  The power loop's lower value never
+    # exceeds it, and the certified bound never falls below it; where opnorm
+    # has an exact path, the product is that value too.
+    pairs = [(c0, c0 * rho) for c0, rho in pairs]
+    m = len(pairs)
+    sym = _DigitProductSymbol(pairs)
+    op = MultiplierMatrix(sym, Resolution(m))
+    product = _product_norm(pairs, *regime)
+    run = _power_lower(op, *regime, seed=seed)
+    assert run.value <= product * (1.0 + 1e-12)
+    assert product <= certified_upper(op, *regime)
+    est = opnorm(sym, Resolution(m), *regime, seed=seed)
+    if est.kind == "exact":
+        assert abs(est.value - product) <= 1e-12 * est.value
+    else:
+        assert (est.value, est.iterations, est.upper) == (product, 0, certified_upper(op, *regime))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=_real_pairs,
+    regime=st.sampled_from([(p, q) for p in _EXPONENTS[1:-1] for q in _EXPONENTS[1:-1] if p <= q]),
+)
+@example(pairs=[(1.0, 0.9), (1.0, 0.81)], regime=(1.5, 3.0))
+def test_product_norm_is_self_dual(pairs, regime):
+    # ||T||_{p -> q} = ||T*||_{q' -> p'}: both sides take the product path,
+    # whose searches at the two exponent pairs share no arithmetic.
+    p, q = regime
+    pairs = [(c0, c0 * rho) for c0, rho in pairs]
+    m = len(pairs)
+    a = opnorm(_DigitProductSymbol(pairs), Resolution(m), p, q)
+    b = opnorm(_DigitProductSymbol([(np.conj(c0), np.conj(c1)) for c0, c1 in pairs]), Resolution(m),
+               dual_exponent(q), dual_exponent(p))
+    assert a.kind == b.kind and a.iterations == b.iterations == 0
+    assert b.value == pytest.approx(a.value, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [0.75 - 0.5j, -2.0, 1j])
+@pytest.mark.parametrize("regime", [(1.5, 3.0), (1.25, 1.75), (3.0, 3.0)])
+def test_constant_product_is_conjugate_dual_and_exact(c, regime):
+    p, q = regime
+    res = Resolution(9)
+    a = opnorm(ConstantSymbol(c), res, p, q)
+    b = opnorm(ConstantSymbol(np.conj(c)), res, dual_exponent(q), dual_exponent(p))
+    assert a.kind == b.kind == "exact"
+    assert a.value == pytest.approx(abs(c) * 2 ** (9 * (1 / p - 1 / q)), rel=1e-14)
+    assert b.value == pytest.approx(a.value, rel=1e-14)
+
+
+def test_two_point_closed_forms():
+    assert two_point_norm(0.0, 1.0, 1.5, 3.0) == (1.0, True)
+    assert two_point_norm(0.0, -3.0, 1.25, 4.0) == (3.0, True)
+    assert two_point_norm(2.0, -2.0, 1.5, 3.0) == (2.0 * 2 ** (1 / 1.5 - 1 / 3), True)
+    assert two_point_norm(1.0, 0.5, 1.5, 3.0) == (1.0, True)  # the Bonami ratio itself
+    assert two_point_norm(-0.5, 0.4, 3.0, 3.0) == (0.5, True)
+    value, closed = two_point_norm(1.0, 0.9, 1.5, 3.0)
+    assert not closed and 1.0 < value < 2 ** (1 / 3)
+    for c0, c1 in ((1.0, 0.5j), (1.0, 1.5), (1.0 + 1j, 0.5)):
+        assert two_point_norm(c0, c1, 1.5, 3.0) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.floats(-1.0, 1.0),
+    regime=st.sampled_from([(p, q) for p in _EXPONENTS for q in _EXPONENTS if p <= q]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_point_search_finds_the_largest_ratio(rho, regime, seed):
+    # Its value is at least a t grid's best and, up to rounding, above every
+    # ratio at complex functions.
+    p, q = regime
+
+    def lp(v, r):
+        mags = np.abs(v)
+        return mags.max(axis=-1) if r == INF else np.mean(mags**r, axis=-1) ** (1.0 / r)
+
+    value, _ = two_point_norm(1.0, rho, p, q)
+    t = np.linspace(0.0, 1.0, 4001)
+    grid = lp(np.stack([1 + rho * t, 1 - rho * t], -1), q) / lp(np.stack([1 + t, 1 - t], -1), p)
+    assert value >= grid.max() * (1.0 - 1e-15)
+    rng = np.random.default_rng(seed)
+    alpha, beta = (rng.standard_normal(500) + 1j * rng.standard_normal(500) for _ in range(2))
+    ratios = lp(np.stack([alpha + rho * beta, alpha - rho * beta], -1), q) / lp(
+        np.stack([alpha + beta, alpha - beta], -1), p
+    )
+    assert ratios.max() <= value * (1.0 + 1e-14)
+
+
+def test_geometric_product_is_refused_above_the_transforms():
+    with pytest.raises(ValueError, match=f"m <= {MAX_TRANSFORM_LEVELS}, got {MAX_TRANSFORM_LEVELS + 1}"):
+        opnorm(GeometricSymbol(0.9), Resolution(MAX_TRANSFORM_LEVELS + 1), 1.5, 3.0)
+
+
+def test_product_path_falls_through_for_complex_ratios_and_p_above_q():
+    # A complex ratio runs the power loop.  For p > q the product is only a
+    # lower bound; a real product's kernel is one-signed up to a translation,
+    # so ||k||_1 = sup|a_n| closes the bracket there before any step.
+    res = Resolution(6)
+    est = opnorm(GeometricSymbol(0.6 + 0.3j), res, 1.5, 3.0)
+    assert est.kind == "lower" and est.iterations > 0
+    for sym, regime in ((GeometricSymbol(-0.9), (4.0, 3.0)), (GeometricSymbol(0.9), (1.75, 1.25))):
+        est = opnorm(sym, res, *regime)
+        assert (est.kind, est.value, est.iterations) == ("lower", 1.0, 0)
+        assert est.upper == certified_upper(MultiplierMatrix(sym, res), *regime)
 
 
 def test_exact_kernel_permutation_stays_finite():
     # The alternating symbol's kernel matrix is a permutation, so the kernel
     # product keeps shrinking coordinates exactly until they turn subnormal.
+    # opnorm takes the product path here, so the loop is run directly.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = opnorm(AlternatingSymbol(), Resolution(8), 1.5, 3.0, seed=1)
-    assert est.value == pytest.approx(256 ** (1 / 3), rel=1e-12)
+        run = _power_lower(MultiplierMatrix(AlternatingSymbol(), Resolution(8)), 1.5, 3.0, seed=1)
+    assert run.value == pytest.approx(256 ** (1 / 3), rel=1e-12)
 
 
 def test_power_iteration_ratios_never_decrease():
@@ -626,7 +789,7 @@ def test_cell_translates_run_the_same_trajectory(family, regime, m, h, seed):
 def test_default_block_holds_one_cell_start():
     # All-ones, e_0, three Walsh functions and 16 random starts; the other
     # cell vectors are translates of e_0 and would repeat its run.
-    assert opnorm(ReciprocalSymbol(), Resolution(8), 1.5, 1.5).starts == 21
+    assert _power_lower(MultiplierMatrix(ReciprocalSymbol(), Resolution(8)), 1.5, 1.5).starts == 21
 
 
 def test_stop_at_max_iter_is_reported(monkeypatch):
@@ -642,7 +805,10 @@ def test_stop_at_max_iter_is_reported(monkeypatch):
     # The package re-exports the function ``opnorm`` under the module's name.
     module = importlib.import_module("walsh_lab.opnorm")
     monkeypatch.setattr(module, "_power_lower", partial(_power_lower, max_iter=1))
-    assert opnorm(sym, res, 1.5, 3.0).converged is False
+    # The reciprocal bracket is closed at sup|a_n| and runs no loop.
+    assert opnorm(sym, res, 1.5, 3.0).iterations == 0
+    unclosed = random_explicit_symbol(np.random.default_rng(6), res.dim)
+    assert opnorm(unclosed, res, 1.5, 3.0).converged is False
     report = multiplier_bound_check(sym, Resolution(6), 1.5)
     assert report.estimate.converged is False and report.dual_estimate.converged is False
 

@@ -265,3 +265,48 @@ def test_explicit_tail_validation():
     sym = ExplicitSymbol([], "constant", 2.0)
     assert sym.value(0) == 2.0
     assert sym.sup_norm() == 2.0
+
+
+_PRODUCT_FAMILIES = [
+    ConstantSymbol(0.75 - 0.5j),
+    ConstantSymbol(1.0),
+    ConstantSymbol(0.0),
+    AlternatingSymbol(),
+    UnitDiracSymbol(0),
+    UnitDiracSymbol(5),
+    UnitDiracSymbol(300),
+    GeometricSymbol(0.7),
+    GeometricSymbol(-0.5),
+    GeometricSymbol(0.4 + 0.3j),
+    GeometricSymbol(0.999),
+]
+
+
+@pytest.mark.parametrize("sym", _PRODUCT_FAMILIES, ids=repr)
+@pytest.mark.parametrize("m", [0, 1, 3, 9])
+def test_factors_multiply_out_to_the_values(sym, m):
+    # a_n = prod_k c_k(n_k) over the binary digits of n < 2**m; at m = 0 the
+    # empty product is 1, so a family with a_0 != 1 has no factors there.
+    pairs = sym.factors(m)
+    if pairs is None:
+        assert m == 0 and sym.value(0) != 1.0
+        return
+    assert len(pairs) == m
+    diag = np.ones(1, dtype=np.complex128)
+    for c0, c1 in pairs:
+        diag = np.concatenate([diag * c0, diag * c1])
+    values = sym.values(1 << m)
+    # Relative to the sup: r**n of a negative real r carries rounded
+    # imaginary parts of a complex power, and its tiny values far more.
+    assert np.abs(diag - values).max() <= 1e-13 * np.abs(values).max()
+
+
+def test_unit_dirac_above_the_resolution_is_the_zero_product():
+    assert UnitDiracSymbol(8).factors(3) == [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)]
+    assert UnitDiracSymbol(5).factors(3) == [(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("sym", [ReciprocalSymbol(), ExplicitSymbol([1.0, 0.5], "zero"),
+                                 tail(AlternatingSymbol(), 2)], ids=repr)
+def test_other_families_have_no_factors(sym):
+    assert sym.factors(4) is None
