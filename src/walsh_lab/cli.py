@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -23,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import MAX_TRANSFORM_LEVELS, Resolution
+from .dyadic import Resolution
+from .metrics import _check_exponent
 from .multiplier import MultiplierMatrix
 from .opnorm import _bracket, _checked, constant_probe
 from .spectral import SpectralQuery, compactness_report, membership
@@ -45,9 +45,7 @@ def _parse_exponent(text: str) -> float:
         p = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad exponent {text!r}") from exc
-    if math.isnan(p) or p < 1.0:
-        raise ConfigError(f"exponent must lie in [1, inf], got {text!r}")
-    return p
+    return _check_exponent(p)
 
 
 def _parse_exponent_list(text: str) -> list[float]:
@@ -59,8 +57,6 @@ def _parse_cutoffs(text: str) -> list[int]:
         cuts = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad cutoff list {text!r}") from exc
-    if not cuts:
-        raise ConfigError("cutoff list is empty")
     return cuts
 
 
@@ -256,8 +252,6 @@ def cmd_sweep(args) -> int:
         "probe-constants": _sweep_probe_constants,
     }
     try:
-        if args.m > MAX_TRANSFORM_LEVELS:
-            raise ConfigError(f"m <= {MAX_TRANSFORM_LEVELS} for sweeps")
         rows, header = kinds[args.kind](args)
         _emit(rows, header, args.format, args.out, args.seed)
     except (ConfigError, ValueError) as exc:

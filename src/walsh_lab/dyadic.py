@@ -41,16 +41,18 @@ __all__ = [
     "coeff_vector",
 ]
 
-# ``walsh_matrix`` holds 8 * 4**m bytes of int64: 128 MB at m = 12 (about
-# 160 MB peak and 0.23 s to build), and each further level quadruples both.
-MAX_WALSH_MATRIX_LEVELS = 12
-# Past this the value arrays alone stop being sensible on one machine.
-MAX_LEVELS = 26
-# Sweeps and spectral queries transform several complex arrays per shift: a
-# spectral report at m = 20 (p = 3, with its accumulation check and kernel
-# bound) peaks at about 91 MB resident, 34 MB of it the interpreter and
-# numpy, and each further level about doubles the rest (roughly 3.7 GB at
-# MAX_LEVELS).
+# A dense cell-by-cell table holds 4**m entries: ``walsh_matrix`` in int64
+# takes 128 MB at m = 12 (about 160 MB peak and 0.23 s to build),
+# ``multiplier.kernel_matrix`` in complex128 256 MB (about 0.3 s), and each
+# further level quadruples both.
+MAX_DENSE_LEVELS = 12
+# The level cap, checked once, where a ``Resolution`` is built: every
+# estimator, probe, spectral query and sweep takes its level from one, so
+# none can build values past it.  Sweeps and spectral queries transform
+# several complex arrays per shift: a spectral report at m = 20 (p = 3, with
+# its accumulation check and kernel bound) peaks at about 91 MB resident,
+# 34 MB of it the interpreter and numpy, and each further level about
+# doubles the rest.
 MAX_TRANSFORM_LEVELS = 20
 _INT64_MAX = 2**63 - 1
 # Bytes of one ``fwht`` tile, taken through its last stages while it stays
@@ -74,8 +76,8 @@ class Resolution:
     def __post_init__(self) -> None:
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
             raise ValueError(f"resolution level must be a nonnegative integer, got {self.m!r}")
-        if self.m > MAX_LEVELS:
-            raise ValueError(f"resolution level {self.m} too large (max {MAX_LEVELS})")
+        if self.m > MAX_TRANSFORM_LEVELS:
+            raise ValueError(f"resolution levels limited to m <= {MAX_TRANSFORM_LEVELS}, got {self.m}")
 
     @property
     def dim(self) -> int:
@@ -195,14 +197,18 @@ def walsh_step(n: int, res: Resolution) -> StepFunction:
     return StepFunction(res, 1.0 - 2.0 * parity)
 
 
+def _check_dense(m: int) -> None:
+    if not 0 <= m <= MAX_DENSE_LEVELS:
+        raise ValueError(f"dense tables limited to m <= {MAX_DENSE_LEVELS}, got {m}")
+
+
 def walsh_matrix(m: int) -> np.ndarray:
     """Dense Paley-ordered Walsh matrix ``H[n, i] = walsh_value(n, i)``.
 
     The Sylvester Hadamard matrix ``(-1)**popcount(r & i)`` with the row
-    index bit-reversed, as an int64 array.  Refuses m > MAX_WALSH_MATRIX_LEVELS.
+    index bit-reversed, as an int64 array.
     """
-    if not 0 <= m <= MAX_WALSH_MATRIX_LEVELS:
-        raise ValueError(f"dense Walsh matrix limited to m <= {MAX_WALSH_MATRIX_LEVELS}, got {m}")
+    _check_dense(m)
     idx = np.arange(1 << m, dtype=np.uint16)
     parity = np.bitwise_count(idx[_bit_reversal(m), None] & idx) & 1
     return np.subtract(1, 2 * parity, dtype=np.int64)

@@ -23,15 +23,13 @@ import numpy as np
 from .dyadic import (
     Resolution,
     StepFunction,
+    _check_dense,
     _scale,
     fwht,
 )
 from .metrics import pnorm
 from .symbols import Symbol, resolvent_symbol
 
-# ``MultiplierMatrix.dense`` holds 16 * 4**m bytes of complex128: 256 MB at
-# m = 12 (about 0.3 s to build), and each further level quadruples it.
-MAX_DENSE_MULTIPLIER_LEVELS = 12
 _EPS = np.finfo(np.float64).eps
 
 
@@ -69,8 +67,10 @@ def kernel_matrix(diag: np.ndarray) -> np.ndarray:
 
     ``M @ v`` equals ``apply_diag(diag, v)`` up to rounding.  The Paley
     Walsh matrix is symmetric, so ``M`` is symmetric and the adjoint
-    multiplier (diagonal ``conj(diag)``) has matrix ``conj(M)``.
+    multiplier (diagonal ``conj(diag)``) has matrix ``conj(M)``.  Refused
+    above ``dyadic.MAX_DENSE_LEVELS`` before anything is built.
     """
+    _check_dense(diag.shape[-1].bit_length() - 1)
     k = kernel(diag)
     idx = np.arange(diag.shape[-1])
     return k[idx[:, None] ^ idx]
@@ -142,11 +142,6 @@ class MultiplierMatrix:
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            m = self.resolution.m
-            if m > MAX_DENSE_MULTIPLIER_LEVELS:
-                raise ValueError(
-                    f"dense multiplier matrices are limited to m <= {MAX_DENSE_MULTIPLIER_LEVELS}, got {m}"
-                )
             self._dense = kernel_matrix(self.diag)
         return self._dense
 

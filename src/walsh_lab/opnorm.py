@@ -13,9 +13,6 @@ Exact paths:
   As ``||K||_{L^r} >= |a_n|``, the value is raised to ``sup |a_n|`` if
   rounding left it below, so it never contradicts the paths above.
 
-Every other path, this one included, is refused above
-``MAX_TRANSFORM_LEVELS`` before any value is built.
-
 Product symbols, p_in <= p_out (``_product_bracket``).  A symbol whose
 ``factors(m)`` are digit pairs ``(c_k(0), c_k(1))`` has
 ``a_n = prod_k c_k(n_k)`` over the binary digits of n < 2**m.  Paley order
@@ -119,7 +116,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (
-    MAX_TRANSFORM_LEVELS,
     Resolution,
     coeff_vector,
     step_function,
@@ -499,8 +495,7 @@ def opnorm(
     """Norm of the multiplier on the 2**m-dimensional step-function space,
     measured from the L^{p_in} domain norm to the L^{p_out} range norm, as
     the bracket ``[value, upper]``, by the paths of the module docstring.
-    The ``sup`` path answers at every m, the others up to
-    ``MAX_TRANSFORM_LEVELS``.  ``tol`` must be finite and nonnegative.
+    ``tol`` must be finite and nonnegative.
     """
     p_in, p_out = _checked(p_in, p_out, tol)
     return _bracket(MultiplierMatrix(sym, res), p_in, p_out, seed=seed, tol=tol)
@@ -510,13 +505,10 @@ def _bracket(
     op: MultiplierMatrix, p_in: float, p_out: float, *, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> NormEstimate:
     """``opnorm`` of a record, for checked exponents and ``tol``, by the paths
-    of the module docstring.  Only the ``sup`` path reaches the record above
-    ``MAX_TRANSFORM_LEVELS``; every other path comes after that refusal."""
+    of the module docstring."""
     m = op.resolution.m
     if p_in >= 2.0 >= p_out:
         return NormEstimate(op.sup, EXACT, upper=op.sup)
-    if m > MAX_TRANSFORM_LEVELS:
-        raise ValueError(f"norm brackets limited to m <= {MAX_TRANSFORM_LEVELS}, got {m}")
     if p_in == 1.0 or p_out == INF:
         r = p_out if p_in == 1.0 else dual_exponent(p_in)
         exact = max(pnorm(op.transform, r, 2.0**-m), op.sup)
@@ -746,14 +738,11 @@ def constant_probe(
 
     ``recompute()`` re-rates the witness through ``hy_ratio`` or
     ``synthesis_ratio`` and agrees to rounding.  ``trials`` (at least 1) and
-    ``seed`` are echoed into the result and select nothing.  m above
-    ``MAX_TRANSFORM_LEVELS`` is refused.
+    ``seed`` are echoed into the result and select nothing.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     m = res.m
-    if m > MAX_TRANSFORM_LEVELS:
-        raise ValueError(f"constant probes limited to m <= {MAX_TRANSFORM_LEVELS}, got {m}")
     if inequality == "hy":
         p = hy_exponent(p)
         best_ratio = 1.0

@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import MAX_TRANSFORM_LEVELS, Resolution, walsh_step
-from .metrics import pnorm
+from .dyadic import Resolution, walsh_step
+from .metrics import _check_exponent, pnorm
 from .multiplier import MultiplierMatrix, apply_diag
 from .opnorm import NormEstimate, tail_norm
 from .symbols import ResolventSymbol, Symbol
@@ -61,10 +61,8 @@ class SpectralQuery:
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if math.isnan(self.p) or self.p < 1.0:
-            raise ValueError(f"exponent must lie in [1, inf], got {self.p}")
-        if self.m > MAX_TRANSFORM_LEVELS:
-            raise ValueError(f"spectral queries limited to m <= {MAX_TRANSFORM_LEVELS}, got {self.m}")
+        _check_exponent(self.p)
+        Resolution(self.m)
 
 
 @dataclass
@@ -316,8 +314,6 @@ def riesz_schauder_check(sym: Symbol, res: Resolution, eps_grid) -> list[dict]:
     """
     if not sym.is_c0:
         raise ValueError("accumulation check applies only to symbols with a_n -> 0")
-    if res.m > MAX_TRANSFORM_LEVELS:
-        raise ValueError(f"accumulation check limited to m <= {MAX_TRANSFORM_LEVELS}, got {res.m}")
     eps = np.array([float(e) for e in eps_grid])
     if (eps <= 0).any():
         raise ValueError("thresholds must be positive")

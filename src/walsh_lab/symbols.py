@@ -124,6 +124,10 @@ class ConstantSymbol(Symbol):
     c: complex = 1.0
     family = "constant"
 
+    def __post_init__(self) -> None:
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"constant value must be finite, got {self.c}")
+
     def _range(self, start: int, stop: int) -> np.ndarray:
         return np.full(stop - start, complex(self.c), dtype=np.complex128)
 
@@ -284,7 +288,7 @@ class GeometricSymbol(Symbol):
     family = "geometric"
 
     def __post_init__(self) -> None:
-        if abs(self.r) > 1.0 + 1e-12:
+        if not abs(self.r) <= 1.0 + 1e-12:
             raise ValueError(f"geometric ratio must satisfy |r| <= 1, got |r| = {abs(self.r)}")
 
     @property
@@ -375,6 +379,8 @@ class ExplicitSymbol(Symbol):
         self.prefix.flags.writeable = False
         self.tail_kind = tail_kind
         self.tail_value = complex(tail_value)
+        if not (np.isfinite(self.prefix).all() and cmath.isfinite(self.tail_value)):
+            raise ValueError("explicit symbol values must be finite")
 
     def __repr__(self) -> str:
         return (

@@ -339,8 +339,35 @@ def test_probe_constants_refuses_levels_above_the_cap(capsys, tmp_path):
         "--trials", "1", "--out", str(out_file),
     )
     assert code == 2 and out == ""
-    assert err.startswith("config error: m <= 20 for sweeps")
+    assert err.startswith("config error: resolution levels limited to m <= 20, got 21")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"family":"geometric","r":NaN}',
+        '{"family":"constant","c":Infinity}',
+        '{"family":"explicit","prefix":[1,NaN,2]}',
+    ],
+)
+def test_non_finite_symbol_parameters_are_config_errors(capsys, spec):
+    code, out, err = run_cli(
+        capsys, "sweep", "opnorm", "--symbol", spec, "--m", "4", "--p-in", "1.5,2", "--p-out", "3,2",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot parse symbol spec")
+
+
+def test_spectrum_grid_refuses_a_negative_level(capsys, tmp_path):
+    out_file = tmp_path / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "spectrum-grid", "--symbol", "alternating", "--m", "-1",
+        "--grid=-1,1,-1,1,3", "--out", str(out_file),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: resolution level must be a nonnegative integer, got -1")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_json_format(capsys):

@@ -378,13 +378,13 @@ def _no_table(m):
 
 
 def test_walsh_value_builds_no_bit_reversal_table():
-    res = Resolution(26)
-    cell = 0b11 << 24 | 1
+    res = Resolution(20)
+    cell = 0b11 << 18 | 1
     with mock.patch.object(dyadic, "_bit_reversal", _no_table):
         assert walsh_value(1, cell, res) == -1  # r_0 reads the top bit of the cell
         assert walsh_value(2, cell, res) == -1
         assert walsh_value(4, cell, res) == 1
-        assert walsh_value(1 << 25, cell, res) == -1  # r_25 reads the bottom bit
+        assert walsh_value(1 << 19, cell, res) == -1  # r_19 reads the bottom bit
 
 
 def test_walsh_step_builds_no_bit_reversal_table():
@@ -463,3 +463,7 @@ def test_resolution_validation():
     with pytest.raises(ValueError):
         Resolution(-1)
     assert Resolution(0).dim == 1
+    assert Resolution(20).dim == 1 << 20
+    for m in range(21, 27):
+        with pytest.raises(ValueError, match=f"resolution levels limited to m <= 20, got {m}"):
+            Resolution(m)

@@ -217,10 +217,19 @@ def test_kernel_matrix_matches_walsh_matrix_reference(m, seed):
     assert np.array_equal(mat, mat.T)
 
 
-def test_dense_matrix_refuses_large_resolutions():
+def test_dense_matrix_refuses_large_resolutions(traced_peak):
     mat = MultiplierMatrix(ReciprocalSymbol(), Resolution(13))
     with pytest.raises(ValueError, match="m <= 12"):
         mat.dense()
+    # ``kernel_matrix`` refuses before it builds anything: at m = 13 the
+    # matrix alone would take 1 GiB.
+    diag = np.ones(1 << 13)
+
+    def refused():
+        with pytest.raises(ValueError, match="m <= 12, got 13"):
+            kernel_matrix(diag)
+
+    assert traced_peak(refused) < 1 << 20
 
 
 def test_truncated_matrix_rank():

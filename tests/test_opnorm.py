@@ -372,7 +372,7 @@ def test_opnorm_refuses_above_the_transforms_before_reading_values(m, regime):
         tail_norm(_UnreadableSymbol(), 3, Resolution(m), *regime)
 
 
-@pytest.mark.parametrize("m", [MAX_POWER_LEVELS + 1, 22, 26])
+@pytest.mark.parametrize("m", [MAX_POWER_LEVELS + 1, 16, MAX_TRANSFORM_LEVELS])
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_bound_check_refuses_above_the_power_loop_before_reading_values(m, p):
     with pytest.raises(ValueError, match=f"power iteration limited to m <= {MAX_POWER_LEVELS}, got {m}"):

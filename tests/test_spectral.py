@@ -88,6 +88,12 @@ def test_spectral_layer_refuses_resolutions_above_the_transform_cap():
     SpectralQuery(2.0, m=20)
 
 
+@pytest.mark.parametrize("m", [-1, 7.5])
+def test_spectral_query_refuses_a_level_that_is_no_resolution(m):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        SpectralQuery(2.0, p=3, m=m)
+
+
 def test_resolvent_norm_values():
     assert resolvent_norm_l2(ConstantSymbol(0.0), 2.0) == 0.5
     assert resolvent_norm_l2(ReciprocalSymbol(), 2.0) == pytest.approx(1.0)

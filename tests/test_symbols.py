@@ -157,6 +157,23 @@ def test_geometric_ratio_validation():
         GeometricSymbol(1.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GeometricSymbol(math.nan),
+        lambda: GeometricSymbol(complex(0.5, math.nan)),
+        lambda: ConstantSymbol(math.inf),
+        lambda: ConstantSymbol(complex(math.nan, 0.0)),
+        lambda: ExplicitSymbol([1.0, math.nan]),
+        lambda: ExplicitSymbol([1.0], "constant", math.inf),
+    ],
+    ids=["geometric-nan", "geometric-nan-imag", "constant-inf", "constant-nan", "explicit-prefix", "explicit-tail"],
+)
+def test_non_finite_parameters_are_refused(build):
+    with pytest.raises(ValueError, match="finite|<= 1"):
+        build()
+
+
 def test_is_c0_flags():
     assert ReciprocalSymbol().is_c0
     assert GeometricSymbol(0.7).is_c0
